@@ -583,11 +583,8 @@ impl<W: PlatformHost> Platform<W> {
             Disposition::Buffered => {
                 let env = world.env_mut();
                 env.metrics.incr_static("acl.buffered");
-                env.metrics.set_gauge_static(
-                    "platform.inbox_depth",
-                    &receiver.to_string(),
-                    inbox_depth as u64,
-                );
+                env.metrics
+                    .set_gauge_static("platform.inbox_depth", &receiver, inbox_depth as u64);
             }
             Disposition::Ready => {
                 world.env_mut().metrics.incr_static("acl.delivered");
@@ -1058,13 +1055,16 @@ impl<W: PlatformHost> Platform<W> {
     }
 
     /// Records how busy each link on a migration route was, so the bench
-    /// harness can show where a multi-hop transfer spends its time.
+    /// harness can show where a multi-hop transfer spends its time. Busy
+    /// times go to a fixed-bucket histogram, so memory stays flat however
+    /// many hops a run crosses.
     fn record_link_utilization(env: &mut PlatformEnv, transfer: &PipelinedTransfer) {
         for lu in &transfer.links {
-            env.metrics.observe_static("migration.link_busy", lu.busy);
+            env.metrics
+                .observe_hist_static("migration.link_busy", lu.busy);
             env.metrics.set_gauge_static(
                 "migration.link_utilization_pct",
-                &lu.link.to_string(),
+                lu.link,
                 (lu.utilization * 100.0).round() as u64,
             );
         }
@@ -1156,11 +1156,8 @@ impl<W: PlatformHost> Platform<W> {
                 Some(msg) => {
                     let env = world.env_mut();
                     env.metrics.incr_static("acl.delivered");
-                    env.metrics.set_gauge_static(
-                        "platform.inbox_depth",
-                        &id.to_string(),
-                        depth as u64,
-                    );
+                    env.metrics
+                        .set_gauge_static("platform.inbox_depth", id, depth as u64);
                     Self::invoke(world, sim, id, |agent, cx| agent.on_message(&msg, cx));
                 }
             }

@@ -371,6 +371,25 @@ fn bigger_cargo_takes_longer_to_move() {
 }
 
 #[test]
+fn multi_hop_move_records_every_link() {
+    let (mut w, mut sim) = world();
+    let a = Platform::spawn(&mut w, &mut sim, MAIN, "a", probe("a")).unwrap();
+    sim.run(&mut w);
+    // MAIN (pc0) to REMOTE (pc2) crosses the LAN link, then the gateway.
+    Platform::move_agent(&mut w, &mut sim, &a, REMOTE, 0).unwrap();
+    let metrics = &w.env.metrics;
+    let busy = metrics.histogram("migration.link_busy").unwrap();
+    assert_eq!(busy.count(), 2, "one observation per hop");
+    assert!(metrics.durations("migration.link_busy").is_none());
+    let labels: Vec<_> = metrics
+        .gauges()
+        .filter(|(name, _, _)| *name == "migration.link_utilization_pct")
+        .map(|(_, label, _)| label)
+        .collect();
+    assert_eq!(labels, ["link-0", "link-1"]);
+}
+
+#[test]
 fn agents_in_lists_by_container() {
     let (mut w, mut sim) = world();
     let a = Platform::spawn(&mut w, &mut sim, MAIN, "a", probe("a")).unwrap();

@@ -6,6 +6,11 @@
 //! cargo run -p mdagent-bench --bin figures -- trace follow-me # span export
 //! cargo run -p mdagent-bench --bin figures -- report          # OBS_report.json
 //! ```
+//!
+//! An unknown argument exits with status 2 before anything runs; a failed
+//! artifact write exits with status 1.
+
+use std::process::ExitCode;
 
 use mdagent_bench::{
     ablation_clone_dispatch, ablation_matching, ablation_prestaging, ablation_reasoning,
@@ -14,26 +19,53 @@ use mdagent_bench::{
     trace_scenario, TRACE_SCENARIOS,
 };
 
-fn main() {
-    let mut filter: Vec<String> = std::env::args().skip(1).collect();
-    // `--with-naive` lifts the naive reference engine's size gate for
-    // `bench-reasoning`; `--smoke` shrinks `bench-scale` to its CI slice.
-    // Both are modifiers, not figure selectors.
-    let with_naive = filter.iter().any(|f| f == "--with-naive");
-    let smoke = filter.iter().any(|f| f == "--smoke");
-    filter.retain(|f| f != "--with-naive" && f != "--smoke");
-    let want = |key: &str| filter.is_empty() || filter.iter().any(|f| f == key);
+/// Arguments that pick what to run. `trace` takes the scenario name that
+/// follows it.
+const SELECTORS: [&str; 11] = [
+    "fig8",
+    "fig9",
+    "fig10",
+    "ablations",
+    "trace",
+    "report",
+    "bench-reasoning",
+    "bench-migration",
+    "bench-faults",
+    "bench-scale",
+    "bench-observability",
+];
+
+/// Modifiers, not selectors: `--with-naive` lifts the naive reference
+/// engine's size gate for `bench-reasoning`; `--smoke` shrinks
+/// `bench-scale` to its CI slice.
+const FLAGS: [&str; 2] = ["--with-naive", "--smoke"];
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let with_naive = args.iter().any(|f| f == "--with-naive");
+    let smoke = args.iter().any(|f| f == "--smoke");
+    let filter: Vec<&str> = args
+        .iter()
+        .map(String::as_str)
+        .filter(|f| !FLAGS.contains(f))
+        .collect();
+    let unknown = filter.iter().enumerate().find(|&(i, f)| {
+        let is_scenario = i > 0 && filter[i - 1] == "trace";
+        !SELECTORS.contains(f) && !is_scenario
+    });
+    if let Some((_, bad)) = unknown {
+        eprintln!("unknown argument {bad:?}; selectors: {SELECTORS:?}; flags: {FLAGS:?}");
+        return ExitCode::from(2);
+    }
+    let want = |key: &str| filter.is_empty() || filter.contains(&key);
 
     // Scenario trace export: writes TRACE_<scenario>.jsonl plus a Chrome
     // trace-event document loadable in Perfetto / chrome://tracing.
-    if let Some(pos) = filter.iter().position(|f| f == "trace") {
-        let scenario = filter
-            .get(pos + 1)
-            .map(String::as_str)
-            .unwrap_or("follow-me");
+    if let Some(pos) = filter.iter().position(|f| *f == "trace") {
+        let scenario = filter.get(pos + 1).copied().unwrap_or("follow-me");
         let Some(artifacts) = trace_scenario(scenario) else {
             eprintln!("unknown trace scenario {scenario:?}; known: {TRACE_SCENARIOS:?}");
-            std::process::exit(2);
+            return ExitCode::from(2);
         };
         let jsonl_path = format!("TRACE_{scenario}.jsonl");
         let chrome_path = format!("TRACE_{scenario}.chrome.json");
@@ -41,99 +73,57 @@ fn main() {
             (&jsonl_path, &artifacts.jsonl),
             (&chrome_path, &artifacts.chrome),
         ] {
-            match std::fs::write(path, body) {
-                Ok(()) => eprintln!("wrote {path}"),
-                Err(e) => {
-                    eprintln!("could not write {path}: {e}");
-                    std::process::exit(1);
-                }
+            if !write_artifact(path, body) {
+                return ExitCode::FAILURE;
             }
         }
         println!("{}", artifacts.summary);
-        return;
+        return ExitCode::SUCCESS;
     }
 
-    // Wall-clock engine benchmark: explicit opt-in only. The naive
-    // reference runs only at the small sizes unless --with-naive is
-    // passed (chain-512 alone adds ~400 s).
-    if filter.iter().any(|f| f == "bench-reasoning") {
-        let json = bench_reasoning_json(with_naive);
+    // JSON artifacts, each behind its own selector. The wall-clock ones
+    // (`bench-reasoning`, `bench-scale`, `bench-observability`) are
+    // explicit opt-in only: the naive reasoning reference runs only at the
+    // small sizes unless --with-naive is passed (chain-512 alone adds
+    // ~400 s), and `--smoke` gives the fast CI slice of the churn runs.
+    let artifacts: [(&str, &str, &dyn Fn() -> String); 6] = [
+        ("bench-reasoning", "BENCH_reasoning.json", &|| {
+            bench_reasoning_json(with_naive)
+        }),
+        // Static vs. adaptive vs. adaptive + component cache + delta
+        // snapshots, plus pipelined multi-hop transfer.
+        (
+            "bench-migration",
+            "BENCH_migration.json",
+            &bench_migration_json,
+        ),
+        // Completion rate, retries and rollback latency as the per-link
+        // drop probability rises.
+        ("bench-faults", "BENCH_faults.json", &bench_faults_json),
+        // Spans + metrics + SLO state over the trace scenarios plus a lossy
+        // churn run.
+        ("report", "OBS_report.json", &obs_report_json),
+        // Queue comparison + diurnal churn runs (wall-clock + RSS).
+        ("bench-scale", "BENCH_scale.json", &|| {
+            bench_scale_json(smoke)
+        }),
+        // Telemetry overhead guardrail.
+        (
+            "bench-observability",
+            "BENCH_observability.json",
+            &bench_observability_json,
+        ),
+    ];
+    let mut written = true;
+    for (selector, path, json) in artifacts {
+        if !filter.contains(&selector) {
+            continue;
+        }
+        let json = json();
         print!("{json}");
-        match std::fs::write("BENCH_reasoning.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_reasoning.json"),
-            Err(e) => eprintln!("could not write BENCH_reasoning.json: {e}"),
-        }
+        written &= write_artifact(path, &json);
         if filter.len() == 1 {
-            return;
-        }
-    }
-
-    // Migration data-path comparison: static vs. adaptive vs. adaptive +
-    // component cache + delta snapshots, plus pipelined multi-hop transfer.
-    if filter.iter().any(|f| f == "bench-migration") {
-        let json = bench_migration_json();
-        print!("{json}");
-        match std::fs::write("BENCH_migration.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_migration.json"),
-            Err(e) => eprintln!("could not write BENCH_migration.json: {e}"),
-        }
-        if filter.len() == 1 {
-            return;
-        }
-    }
-
-    // Fault-tolerance sweep: completion rate, retries, and rollback
-    // latency as the per-link drop probability rises.
-    if filter.iter().any(|f| f == "bench-faults") {
-        let json = bench_faults_json();
-        print!("{json}");
-        match std::fs::write("BENCH_faults.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_faults.json"),
-            Err(e) => eprintln!("could not write BENCH_faults.json: {e}"),
-        }
-        if filter.len() == 1 {
-            return;
-        }
-    }
-
-    // Observability report: spans + metrics + SLO state over the trace
-    // scenarios plus a lossy churn run, aggregated into OBS_report.json.
-    if filter.iter().any(|f| f == "report") {
-        let json = obs_report_json();
-        print!("{json}");
-        match std::fs::write("OBS_report.json", &json) {
-            Ok(()) => eprintln!("wrote OBS_report.json"),
-            Err(e) => eprintln!("could not write OBS_report.json: {e}"),
-        }
-        if filter.len() == 1 {
-            return;
-        }
-    }
-
-    // City-scale churn benchmark: queue comparison + diurnal churn runs
-    // (wall-clock + RSS; `--smoke` for the fast CI slice).
-    if filter.iter().any(|f| f == "bench-scale") {
-        let json = bench_scale_json(smoke);
-        print!("{json}");
-        match std::fs::write("BENCH_scale.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_scale.json"),
-            Err(e) => eprintln!("could not write BENCH_scale.json: {e}"),
-        }
-        if filter.len() == 1 {
-            return;
-        }
-    }
-
-    // Telemetry overhead guardrail: explicit opt-in only (wall-clock).
-    if filter.iter().any(|f| f == "bench-observability") {
-        let json = bench_observability_json();
-        print!("{json}");
-        match std::fs::write("BENCH_observability.json", &json) {
-            Ok(()) => eprintln!("wrote BENCH_observability.json"),
-            Err(e) => eprintln!("could not write BENCH_observability.json: {e}"),
-        }
-        if filter.len() == 1 {
-            return;
+            return exit_code(written);
         }
     }
 
@@ -149,10 +139,34 @@ fn main() {
     if want("fig10") {
         println!("{}", fig10_comparative());
     }
-    if want("ablations") || filter.is_empty() {
+    if want("ablations") {
         println!("{}", ablation_clone_dispatch(8));
         println!("{}", ablation_reasoning(24));
         println!("{}", ablation_matching(24));
         println!("{}", ablation_prestaging());
+    }
+    exit_code(written)
+}
+
+/// Writes one artifact to the working directory, reporting the outcome on
+/// stderr; returns whether it was written.
+fn write_artifact(path: &str, body: &str) -> bool {
+    match std::fs::write(path, body) {
+        Ok(()) => {
+            eprintln!("wrote {path}");
+            true
+        }
+        Err(e) => {
+            eprintln!("could not write {path}: {e}");
+            false
+        }
+    }
+}
+
+fn exit_code(written: bool) -> ExitCode {
+    if written {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

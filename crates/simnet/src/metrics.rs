@@ -9,10 +9,11 @@
 //! the `&str` entry points only allocate the first time a new dynamic
 //! name appears.
 
+use mdagent_fx::FxHashMap;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::time::SimDuration;
 
@@ -273,7 +274,10 @@ pub struct MetricsRegistry {
     counters: BTreeMap<Key, u64>,
     durations: BTreeMap<Key, DurationStats>,
     histograms: BTreeMap<Key, Histogram>,
-    gauges: BTreeMap<Key, BTreeMap<String, u64>>,
+    /// Label series are hashed; [`MetricsRegistry::gauges`] sorts them.
+    gauges: BTreeMap<Key, FxHashMap<String, u64>>,
+    /// Reused buffer gauge labels are rendered into.
+    label_buf: String,
 }
 
 impl MetricsRegistry {
@@ -368,13 +372,18 @@ impl MetricsRegistry {
     }
 
     /// Sets the labeled gauge `name{label}` to `value` (e.g. inbox depth
-    /// per agent, event-queue length per simulator).
-    pub fn set_gauge_static(&mut self, name: &'static str, label: &str, value: u64) {
+    /// per agent, utilization per link). The label is rendered into a
+    /// reused buffer and looked up by hash, so only the first value of a
+    /// new series allocates.
+    pub fn set_gauge_static(&mut self, name: &'static str, label: impl fmt::Display, value: u64) {
+        self.label_buf.clear();
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.label_buf, "{label}");
         let series = self.gauges.entry(Cow::Borrowed(name)).or_default();
-        if let Some(v) = series.get_mut(label) {
+        if let Some(v) = series.get_mut(self.label_buf.as_str()) {
             *v = value;
         } else {
-            series.insert(label.to_owned(), value);
+            series.insert(self.label_buf.clone(), value);
         }
     }
 
@@ -386,11 +395,17 @@ impl MetricsRegistry {
     /// Iterates over `(name, label, value)` for every gauge, name-ordered
     /// then label-ordered.
     pub fn gauges(&self) -> impl Iterator<Item = (&str, &str, u64)> {
-        self.gauges.iter().flat_map(|(name, series)| {
-            series
-                .iter()
-                .map(move |(label, v)| (name.as_ref(), label.as_str(), *v))
-        })
+        let mut all: Vec<_> = self
+            .gauges
+            .iter()
+            .flat_map(|(name, series)| {
+                series
+                    .iter()
+                    .map(move |(label, v)| (name.as_ref(), label.as_str(), *v))
+            })
+            .collect();
+        all.sort_unstable_by_key(|&(name, label, _)| (name, label));
+        all.into_iter()
     }
 
     /// Iterates over all counters in name order.
@@ -415,6 +430,7 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::LinkId;
 
     #[test]
     fn counters_accumulate() {
@@ -541,6 +557,25 @@ mod tests {
         assert_eq!(m.gauge("inbox", "missing"), None);
         let all: Vec<_> = m.gauges().collect();
         assert_eq!(all, vec![("inbox", "a@h", 5), ("inbox", "b@h", 1)]);
+
+        // Series set out of lexical order still iterate label-ordered,
+        // and a `Display` label reads back under its rendered text.
+        m.set_gauge_static("link", LinkId(2), 20);
+        m.set_gauge_static("link", LinkId(10), 100);
+        m.set_gauge_static("link", "link-1", 10);
+        m.set_gauge_static("link", LinkId(2), 25);
+        assert_eq!(m.gauge("link", "link-2"), Some(25));
+        let links: Vec<_> = m.gauges().filter(|g| g.0 == "link").collect();
+        assert_eq!(
+            links,
+            vec![
+                ("link", "link-1", 10),
+                ("link", "link-10", 100),
+                ("link", "link-2", 25),
+            ]
+        );
+        let names: Vec<_> = m.gauges().map(|g| g.0).collect();
+        assert_eq!(names, ["inbox", "inbox", "link", "link", "link"]);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 
 use mdagent_fx::FxHashMap;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::fmt;
 
 use crate::time::SimDuration;
@@ -168,16 +167,6 @@ impl Link {
     pub fn transfer_time(&self, bytes: u64) -> SimDuration {
         self.latency + self.transmission_time(bytes)
     }
-
-    fn other_end(&self, from: HostId) -> Option<HostId> {
-        if self.endpoints.0 == from {
-            Some(self.endpoints.1)
-        } else if self.endpoints.1 == from {
-            Some(self.endpoints.0)
-        } else {
-            None
-        }
-    }
 }
 
 /// Chunk size used by [`Topology::pipelined_transfer_time`] when the
@@ -263,11 +252,30 @@ pub struct Topology {
     spaces: Vec<String>,
     hosts: Vec<Host>,
     links: Vec<Link>,
-    adjacency: FxHashMap<HostId, Vec<LinkId>>,
+    /// `adjacency[h]` holds host `h`'s `(neighbour, link)` pairs in link
+    /// creation order, which is the order the BFS visits them in.
+    adjacency: Vec<Vec<(HostId, LinkId)>>,
     /// Memoized fewest-hops routes; invalidated whenever a link is added.
     /// At city scale, migrations repeat the same host pairs constantly —
     /// without this, per-migration BFS dwarfs the scheduler itself.
     route_cache: RefCell<FxHashMap<(HostId, HostId), Vec<LinkId>>>,
+    /// Search state reused by every uncached route.
+    bfs: RefCell<BfsScratch>,
+}
+
+/// Host-indexed BFS state, reused across searches so a cold route neither
+/// hashes nor allocates once the arrays have grown to the host count.
+#[derive(Debug, Default)]
+struct BfsScratch {
+    /// Number of the current search; host `h` has been reached in it
+    /// exactly when `reached[h] == stamp`, so no per-search clearing.
+    stamp: u32,
+    reached: Vec<u32>,
+    /// `parent[h]`: the host and link the search first reached `h` by.
+    /// Meaningful only for hosts reached in the current search.
+    parent: Vec<(HostId, LinkId)>,
+    /// FIFO of hosts still to expand.
+    queue: Vec<HostId>,
 }
 
 impl Topology {
@@ -354,7 +362,7 @@ impl Topology {
             space,
             cpu,
         });
-        self.adjacency.entry(id).or_default();
+        self.adjacency.push(Vec::new());
         id
     }
 
@@ -418,8 +426,8 @@ impl Topology {
             bandwidth_bps,
             efficiency: efficiency.clamp(0.01, 1.0),
         });
-        self.adjacency.entry(a).or_default().push(id);
-        self.adjacency.entry(b).or_default().push(id);
+        self.adjacency[a.0 as usize].push((b, id));
+        self.adjacency[b.0 as usize].push((a, id));
         self.route_cache.borrow_mut().clear();
         id
     }
@@ -500,34 +508,59 @@ impl Topology {
         Ok(path)
     }
 
+    /// Breadth-first search from `from`, stopping at the first visit of
+    /// `to`. Neighbours are expanded in link creation order, so among
+    /// equally short routes the one found first wins.
     fn route_uncached(&self, from: HostId, to: HostId) -> Result<Vec<LinkId>, TopologyError> {
-        let mut prev: FxHashMap<HostId, (HostId, LinkId)> = FxHashMap::default();
-        let mut queue = VecDeque::from([from]);
-        'bfs: while let Some(cur) = queue.pop_front() {
-            let neighbours = self.adjacency.get(&cur).map(Vec::as_slice).unwrap_or(&[]);
-            for &lid in neighbours {
-                let link = &self.links[lid.0 as usize];
-                let Some(next) = link.other_end(cur) else {
-                    continue;
-                };
-                if next == from || prev.contains_key(&next) {
+        let mut bfs = self.bfs.borrow_mut();
+        let BfsScratch {
+            stamp,
+            reached,
+            parent,
+            queue,
+        } = &mut *bfs;
+        let hosts = self.hosts.len();
+        reached.resize(hosts, 0);
+        parent.resize(hosts, (from, LinkId(0)));
+        *stamp = stamp.wrapping_add(1);
+        if *stamp == 0 {
+            // Wrapped: stale stamps could now read as current.
+            reached.fill(0);
+            *stamp = 1;
+        }
+        let stamp = *stamp;
+        queue.clear();
+        queue.push(from);
+        reached[from.0 as usize] = stamp;
+        let mut head = 0;
+        'bfs: while let Some(&cur) = queue.get(head) {
+            head += 1;
+            for &(next, lid) in &self.adjacency[cur.0 as usize] {
+                let seen = &mut reached[next.0 as usize];
+                if *seen == stamp {
                     continue;
                 }
-                prev.insert(next, (cur, lid));
+                *seen = stamp;
+                parent[next.0 as usize] = (cur, lid);
                 if next == to {
                     break 'bfs;
                 }
-                queue.push_back(next);
+                // A host whose one link leads back to `cur` would discover
+                // nothing: leave it unexpanded.
+                if self.adjacency[next.0 as usize].len() > 1 {
+                    queue.push(next);
+                }
             }
+        }
+        if reached[to.0 as usize] != stamp {
+            return Err(TopologyError::NoRoute(from, to));
         }
         let mut path = Vec::new();
         let mut cur = to;
         while cur != from {
-            let Some(&(parent, lid)) = prev.get(&cur) else {
-                return Err(TopologyError::NoRoute(from, to));
-            };
+            let (up, lid) = parent[cur.0 as usize];
             path.push(lid);
-            cur = parent;
+            cur = up;
         }
         path.reverse();
         Ok(path)
@@ -769,6 +802,33 @@ mod tests {
         topo.add_lan_link(a, c, SimDuration::from_millis(1), 1_000_000, 0.8)
             .unwrap();
         assert_eq!(topo.route(a, c).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn bfs_stamp_wraparound_forgets_earlier_searches() {
+        // A line a - b - c - d.
+        let mut topo = Topology::new();
+        let s = topo.add_space("s");
+        let hosts: Vec<_> = ["a", "b", "c", "d"]
+            .into_iter()
+            .map(|name| topo.add_host(name, s, CpuFactor::REFERENCE))
+            .collect();
+        for pair in hosts.windows(2) {
+            topo.add_lan_link(
+                pair[0],
+                pair[1],
+                SimDuration::from_millis(1),
+                1_000_000,
+                0.8,
+            )
+            .unwrap();
+        }
+        // This search reaches b and c; the next one wraps the stamp, and
+        // must not take them for reached.
+        assert_eq!(topo.route(hosts[2], hosts[1]).unwrap().len(), 1);
+        topo.bfs.borrow_mut().stamp = u32::MAX;
+        assert_eq!(topo.route(hosts[0], hosts[3]).unwrap().len(), 3);
+        assert_eq!(topo.bfs.borrow().stamp, 1);
     }
 
     #[test]
