@@ -5,15 +5,52 @@
 //! registered listeners." (paper §5). The bus is world-agnostic: `publish`
 //! returns the subscribers to notify and the host middleware routes the
 //! event to them (usually as ACL messages to autonomous agents).
+//!
+//! A subscription may also name a *subject*: a subscriber registered with
+//! [`ContextBus::subscribe_user`] hears only events about that user
+//! ([`ContextData::subject`](crate::ContextData::subject)), and never
+//! subject-less ones such as response-time probes. Subject-filtered
+//! subscriptions are indexed by user, so a publish visits the unfiltered
+//! subscriptions plus the subject's own, not every subscriber.
+//!
+//! ```
+//! use mdagent_context::{ContextBus, ContextEvent, ContextData, UserId};
+//! use mdagent_simnet::{HostId, SimTime, SpaceId};
+//!
+//! let mut bus = ContextBus::new();
+//! let _alice = bus.subscribe_user(UserId(1), "context.*");
+//! let bob = bus.subscribe_user(UserId(2), "context.*");
+//! let everyone = bus.subscribe("context.*");
+//!
+//! let moved = ContextEvent::new(
+//!     SimTime::ZERO,
+//!     ContextData::Location { user: UserId(2), space: SpaceId(0) },
+//! );
+//! assert_eq!(bus.publish(&moved), vec![bob, everyone]);
+//!
+//! let probe = ContextEvent::new(
+//!     SimTime::ZERO,
+//!     ContextData::ResponseTime { from: HostId(0), to: HostId(1), millis: 4.0 },
+//! );
+//! assert_eq!(bus.publish(&probe), vec![everyone]);
+//! ```
 
-use crate::types::ContextEvent;
+use crate::types::{ContextEvent, UserId};
 use mdagent_fx::FxHashMap;
 
 /// Opaque handle identifying a subscriber.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SubscriberId(pub u64);
 
-/// Topic-based pub/sub with exact and prefix subscriptions.
+/// One subscriber's topic pattern.
+#[derive(Debug, Clone)]
+struct Subscription {
+    id: SubscriberId,
+    pattern: String,
+}
+
+/// Topic-based pub/sub with exact and prefix subscriptions, optionally
+/// filtered by subject.
 ///
 /// A pattern either matches a topic exactly or, when it ends with `*`,
 /// matches any topic with the preceding prefix (`"context.*"`).
@@ -34,7 +71,11 @@ pub struct SubscriberId(pub u64);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ContextBus {
-    subscriptions: FxHashMap<SubscriberId, Vec<String>>,
+    /// Subscriptions without a subject, ascending by id.
+    unfiltered: Vec<Subscription>,
+    /// Subject-filtered subscriptions by user, each list ascending by id
+    /// and never empty.
+    by_subject: FxHashMap<UserId, Vec<Subscription>>,
     next_id: u64,
     published: u64,
 }
@@ -46,6 +87,16 @@ fn matches(pattern: &str, topic: &str) -> bool {
     }
 }
 
+/// The ids of `subs` whose pattern matches `topic`, in list order.
+fn matching<'a>(
+    subs: &'a [Subscription],
+    topic: &'a str,
+) -> impl Iterator<Item = SubscriberId> + 'a {
+    subs.iter()
+        .filter(move |s| matches(&s.pattern, topic))
+        .map(|s| s.id)
+}
+
 impl ContextBus {
     /// Creates an empty bus.
     pub fn new() -> Self {
@@ -54,43 +105,76 @@ impl ContextBus {
 
     /// Registers a new subscriber for `pattern`, returning its handle.
     pub fn subscribe(&mut self, pattern: impl Into<String>) -> SubscriberId {
-        let id = SubscriberId(self.next_id);
-        self.next_id += 1;
-        self.subscriptions.insert(id, vec![pattern.into()]);
+        let id = self.next_id();
+        let pattern = pattern.into();
+        self.unfiltered.push(Subscription { id, pattern });
         id
     }
 
-    /// Adds another pattern to an existing subscriber.
-    pub fn also_subscribe(&mut self, id: SubscriberId, pattern: impl Into<String>) {
-        self.subscriptions
-            .entry(id)
+    /// Registers a new subscriber for `pattern` that hears only events
+    /// whose subject is `user`, returning its handle.
+    pub fn subscribe_user(&mut self, user: UserId, pattern: impl Into<String>) -> SubscriberId {
+        let id = self.next_id();
+        let pattern = pattern.into();
+        self.by_subject
+            .entry(user)
             .or_default()
-            .push(pattern.into());
+            .push(Subscription { id, pattern });
+        id
+    }
+
+    /// Hands out an id greater than every id before it, so pushing its
+    /// subscription onto the end of a list keeps that list ascending.
+    fn next_id(&mut self) -> SubscriberId {
+        let id = SubscriberId(self.next_id);
+        self.next_id += 1;
+        id
     }
 
     /// Removes a subscriber entirely. Returns whether it existed.
     pub fn unsubscribe(&mut self, id: SubscriberId) -> bool {
-        self.subscriptions.remove(&id).is_some()
+        let before = self.subscriber_count();
+        self.unfiltered.retain(|s| s.id != id);
+        self.by_subject.retain(|_, subs| {
+            subs.retain(|s| s.id != id);
+            !subs.is_empty()
+        });
+        self.subscriber_count() < before
     }
 
-    /// Publishes an event, returning the subscribers whose patterns match,
-    /// in subscription order (each at most once).
+    /// Publishes an event, returning the subscribers whose patterns (and
+    /// subjects, where set) match, ascending by id (each at most once).
+    ///
+    /// Only the unfiltered subscriptions and the event subject's are
+    /// visited; both lists ascend and share no id, so one merge orders them.
     pub fn publish(&mut self, event: &ContextEvent) -> Vec<SubscriberId> {
         self.published += 1;
         let topic = event.topic();
-        let mut hits: Vec<SubscriberId> = self
-            .subscriptions
-            .iter()
-            .filter(|(_, patterns)| patterns.iter().any(|p| matches(p, topic)))
-            .map(|(&id, _)| id)
-            .collect();
-        hits.sort();
-        hits
+        let mut all = matching(&self.unfiltered, topic).peekable();
+        let own = event
+            .data
+            .subject()
+            .and_then(|user| self.by_subject.get(&user))
+            .map(Vec::as_slice)
+            .unwrap_or_default();
+        let mut own = matching(own, topic).peekable();
+        let mut hits = Vec::new();
+        loop {
+            let next = match (all.peek(), own.peek()) {
+                (Some(a), Some(o)) if o < a => own.next(),
+                (Some(_), _) => all.next(),
+                (None, _) => own.next(),
+            };
+            match next {
+                Some(id) => hits.push(id),
+                None => return hits,
+            }
+        }
     }
 
     /// Number of registered subscribers.
     pub fn subscriber_count(&self) -> usize {
-        self.subscriptions.len()
+        self.unfiltered.len() + self.by_subject.values().map(Vec::len).sum::<usize>()
     }
 
     /// Number of events published so far.
@@ -129,20 +213,26 @@ mod tests {
     }
 
     #[test]
-    fn multiple_patterns_single_notification() {
+    fn merged_lists_notify_each_subscriber_once_in_id_order() {
         let mut bus = ContextBus::new();
-        let sub = bus.subscribe("context.location");
-        bus.also_subscribe(sub, "context.*");
-        let hits = bus.publish(&location_event());
-        assert_eq!(hits, vec![sub], "subscriber notified once, not twice");
+        let a = bus.subscribe_user(UserId(0), "context.*");
+        let b = bus.subscribe("context.location");
+        let c = bus.subscribe_user(UserId(0), "context.location");
+        let d = bus.subscribe("context.*");
+        bus.subscribe_user(UserId(1), "context.*");
+        assert_eq!(bus.publish(&location_event()), vec![a, b, c, d]);
     }
 
     #[test]
     fn unsubscribe_stops_notifications() {
         let mut bus = ContextBus::new();
         let sub = bus.subscribe("context.*");
-        assert!(bus.unsubscribe(sub));
-        assert!(!bus.unsubscribe(sub));
+        let user_sub = bus.subscribe_user(UserId(0), "context.*");
+        for id in [sub, user_sub] {
+            assert!(bus.unsubscribe(id));
+            assert!(!bus.unsubscribe(id));
+        }
+        assert!(bus.by_subject.is_empty(), "emptied index entry dropped");
         assert!(bus.publish(&location_event()).is_empty());
         assert_eq!(bus.subscriber_count(), 0);
     }

@@ -14,7 +14,7 @@ use crate::types::{ContextData, ContextEvent, UserId};
 /// the monitor conditions that fired.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PublishOutcome {
-    /// Bus subscribers whose patterns matched.
+    /// Bus subscribers whose patterns (and subjects, where set) matched.
     pub subscribers: Vec<SubscriberId>,
     /// Monitor conditions that fired.
     pub conditions: Vec<ConditionId>,

@@ -12,7 +12,7 @@
 //! * [`ContextMonitor`] / [`Condition`] — predefined trigger conditions
 //!   that wake autonomous agents (§4.1).
 //! * [`ContextBus`] — the publish/subscribe kernel that multicasts events
-//!   to registered listeners (§5).
+//!   to registered listeners (§5), optionally only those about one user.
 //! * [`LocationPredictor`] — order-1 Markov room-transition prediction
 //!   (§3.4's "prediction functionalities").
 //! * [`ContextKernel`] — composes the pipeline; the middleware drives it

@@ -109,6 +109,18 @@ impl ContextData {
         }
     }
 
+    /// The user this payload is about, if any: the subject a
+    /// [`ContextBus::subscribe_user`](crate::ContextBus::subscribe_user)
+    /// subscription filters on. Raw readings and network probes have none.
+    pub fn subject(&self) -> Option<UserId> {
+        match self {
+            ContextData::Location { user, .. }
+            | ContextData::UserIndication { user, .. }
+            | ContextData::Preference { user, .. } => Some(*user),
+            ContextData::RawDistance { .. } | ContextData::ResponseTime { .. } => None,
+        }
+    }
+
     /// The temporal class the classifier assigns this payload.
     pub fn temporal_class(&self) -> TemporalClass {
         match self {
@@ -182,6 +194,9 @@ mod tests {
         };
         assert_eq!(rt.temporal_class(), TemporalClass::Slow);
         assert_eq!(rt.topic(), "context.response-time");
+        assert_eq!(loc.subject(), Some(UserId(1)));
+        assert_eq!(pref.subject(), Some(UserId(1)));
+        assert_eq!(rt.subject(), None);
     }
 
     #[test]

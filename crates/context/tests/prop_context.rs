@@ -1,11 +1,12 @@
 //! Property tests for the context layer: fusion correctness, debounce
-//! bounds, bus determinism and predictor sanity.
+//! bounds, bus determinism, the bus against a filter-list oracle, and
+//! predictor sanity.
 
 use mdagent_context::{
     BadgeId, BeaconId, ContextBus, ContextData, ContextEvent, LocationFusion, LocationPredictor,
-    UserId,
+    SubscriberId, UserId,
 };
-use mdagent_simnet::{SimTime, SpaceId};
+use mdagent_simnet::{HostId, SimTime, SpaceId};
 use proptest::prelude::*;
 
 fn reading(badge: u32, beacon: u32, space: u32, meters: f64) -> ContextEvent {
@@ -18,6 +19,56 @@ fn reading(badge: u32, beacon: u32, space: u32, meters: f64) -> ContextEvent {
             meters,
         },
     )
+}
+
+/// Topic patterns the bus oracle test subscribes with.
+const PATTERNS: [&str; 7] = [
+    "context.*",
+    "context.location",
+    "context.indication",
+    "context.preference",
+    "context.response-time",
+    "sensor.*",
+    "*",
+];
+
+/// An event of one of the five `ContextData` kinds, about `user` where the
+/// kind has a subject.
+fn event_of(kind: u8, user: u32) -> ContextEvent {
+    let data = match kind % 5 {
+        0 => ContextData::RawDistance {
+            badge: BadgeId(user),
+            beacon: BeaconId(0),
+            space: SpaceId(0),
+            meters: 1.0,
+        },
+        1 => ContextData::Location {
+            user: UserId(user),
+            space: SpaceId(1),
+        },
+        2 => ContextData::UserIndication {
+            user: UserId(user),
+            command: "dispatch".into(),
+            args: Vec::new(),
+        },
+        3 => ContextData::ResponseTime {
+            from: HostId(0),
+            to: HostId(1),
+            millis: 2.0,
+        },
+        _ => ContextData::Preference {
+            user: UserId(user),
+            key: "handedness".into(),
+            value: "left".into(),
+        },
+    };
+    ContextEvent::new(SimTime::ZERO, data)
+}
+
+fn pattern_matches(pattern: &str, topic: &str) -> bool {
+    pattern
+        .strip_suffix('*')
+        .map_or(pattern == topic, |prefix| topic.starts_with(prefix))
 }
 
 proptest! {
@@ -106,6 +157,61 @@ proptest! {
         let mut sorted = first.clone();
         sorted.dedup();
         prop_assert_eq!(sorted.len(), first.len());
+    }
+
+    /// Under any interleaving of subscribe / subscribe_user / unsubscribe
+    /// / publish, the bus agrees with a plain list of `(id, pattern,
+    /// subject)` filters: `publish` returns exactly the matching ids,
+    /// ascending and once each, `unsubscribe` reports whether the id was
+    /// live, and `subscriber_count` is the list's length.
+    #[test]
+    fn bus_agrees_with_a_filter_list(
+        ops in proptest::collection::vec((0u8..4, 0u8..7, 0u32..4, any::<u64>()), 1..80),
+    ) {
+        let mut bus = ContextBus::new();
+        let mut oracle: Vec<(SubscriberId, &str, Option<UserId>)> = Vec::new();
+        let mut issued: Vec<SubscriberId> = Vec::new();
+        for (op, arg, user, pick) in ops {
+            let pattern = PATTERNS[usize::from(arg)];
+            match op {
+                0 => {
+                    let id = bus.subscribe(pattern);
+                    oracle.push((id, pattern, None));
+                    issued.push(id);
+                }
+                1 => {
+                    let id = bus.subscribe_user(UserId(user), pattern);
+                    oracle.push((id, pattern, Some(UserId(user))));
+                    issued.push(id);
+                }
+                2 => {
+                    // Any id ever issued, so some are already gone.
+                    let Some(&id) = issued.get(pick as usize % issued.len().max(1)) else {
+                        continue;
+                    };
+                    let live = oracle.iter().position(|(s, ..)| *s == id);
+                    prop_assert_eq!(bus.unsubscribe(id), live.is_some());
+                    if let Some(i) = live {
+                        oracle.remove(i);
+                    }
+                }
+                _ => {
+                    let event = event_of(arg, user);
+                    let expected: Vec<SubscriberId> = oracle
+                        .iter()
+                        .filter(|(_, p, subject)| {
+                            pattern_matches(p, event.topic())
+                                && subject.is_none_or(|u| event.data.subject() == Some(u))
+                        })
+                        .map(|(id, ..)| *id)
+                        .collect();
+                    let hits = bus.publish(&event);
+                    prop_assert!(hits.windows(2).all(|w| w[0] < w[1]), "{hits:?}");
+                    prop_assert_eq!(hits, expected, "{:?}", event.data);
+                }
+            }
+            prop_assert_eq!(bus.subscriber_count(), oracle.len());
+        }
     }
 
     /// The predictor's probabilities over successors of a state sum to 1

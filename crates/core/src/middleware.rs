@@ -889,8 +889,10 @@ impl Middleware {
     ) -> Result<AgentId, CoreError> {
         let container = world.container_on(host)?;
         let local_name = format!("aa-u{}-a{}", agent.user_raw, agent.app_raw);
+        let user = UserId(agent.user_raw);
         let id = Platform::spawn(world, sim, container, &local_name, Box::new(agent))?;
-        let sub = world.kernel.bus.subscribe("context.*");
+        // The AA reasons for one user, so it hears only that user's context.
+        let sub = world.kernel.bus.subscribe_user(user, "context.*");
         world.platform.df_mut().register(
             &id,
             mdagent_agent::ServiceDescription::new("autonomous-agent", "context-watcher"),
