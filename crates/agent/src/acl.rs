@@ -128,13 +128,13 @@ impl AclMessage {
 
     /// Sets raw content bytes.
     pub fn with_content(mut self, content: Vec<u8>) -> Self {
-        self.content = Blob(content);
+        self.content = Blob::from(content);
         self
     }
 
     /// Encodes `value` as the content.
     pub fn with_payload<T: Wire>(mut self, value: &T) -> Self {
-        self.content = Blob(mdagent_wire::to_bytes(value));
+        self.content = Blob::from(mdagent_wire::to_bytes(value));
         self
     }
 
@@ -144,7 +144,7 @@ impl AclMessage {
     ///
     /// Propagates wire decoding failures.
     pub fn payload<T: Wire>(&self) -> Result<T, mdagent_wire::WireError> {
-        mdagent_wire::from_bytes(&self.content.0)
+        mdagent_wire::from_bytes(self.content.as_slice())
     }
 
     /// Builds a reply: swapped endpoints, same conversation.

@@ -64,7 +64,7 @@ pub fn plan_migration(
     let app = world.app(app_id).ok()?;
     let mut ship = Vec::new();
     for component in app.components.iter() {
-        let ship_it = match (policy, component.kind) {
+        let ship_it = match (policy, component.kind()) {
             (BindingPolicy::Static, _) => true,
             // Adaptive follow-me leaves data behind (remote URL); a clone
             // must carry data the destination lacks — the paper's slide
@@ -75,7 +75,7 @@ pub fn plan_migration(
             (BindingPolicy::Adaptive, kind) => !dest_has(kind.tag()),
         };
         if ship_it {
-            ship.push(component.name.clone());
+            ship.push(component.name().to_owned());
         }
     }
     let data_strategy = match policy {

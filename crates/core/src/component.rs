@@ -5,8 +5,9 @@
 //! wrap any serializable part and migrate to the destination" (§4.3).
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
-use mdagent_wire::{impl_wire_enum, impl_wire_struct, Blob, Wire};
+use mdagent_wire::{digest_of, impl_wire_enum, impl_wire_struct, Blob, Digest, Wire};
 
 /// The kind of an application component (Fig. 3's upper level).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -50,45 +51,77 @@ impl fmt::Display for ComponentKind {
 }
 
 /// A serializable application component.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Components are immutable values: the payload lives in a shared
+/// [`Blob`], so a clone (into a cargo, the content store, or a destination
+/// inventory) copies no payload bytes. The content digest is computed at
+/// most once and shared by every clone; it never travels on the wire and
+/// plays no part in equality.
+#[derive(Debug, Clone)]
 pub struct Component {
-    /// Component name, unique within its application ("codec", "playlist").
-    pub name: String,
-    /// What kind of component this is.
-    pub kind: ComponentKind,
-    /// The serialized body; its length drives migration cost.
-    pub payload: Blob,
+    name: String,
+    kind: ComponentKind,
+    payload: Blob,
+    digest: Arc<OnceLock<Digest>>,
 }
 
 impl_wire_struct!(Component {
     name,
     kind,
     payload
-});
+} skip { digest });
+
+impl PartialEq for Component {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.kind == other.kind && self.payload == other.payload
+    }
+}
 
 impl Component {
     /// Creates a component with an opaque payload of `size` bytes
     /// (synthetic bodies for simulation).
     pub fn synthetic(name: impl Into<String>, kind: ComponentKind, size: usize) -> Self {
-        Component {
-            name: name.into(),
-            kind,
-            payload: Blob::zeroed(size),
-        }
+        Component::new(name.into(), kind, Blob::zeroed(size))
     }
 
     /// Creates a component around real bytes.
     pub fn with_payload(name: impl Into<String>, kind: ComponentKind, payload: Vec<u8>) -> Self {
+        Component::new(name.into(), kind, Blob::from(payload))
+    }
+
+    fn new(name: String, kind: ComponentKind, payload: Blob) -> Self {
         Component {
-            name: name.into(),
+            name,
             kind,
-            payload: Blob(payload),
+            payload,
+            digest: Arc::default(),
         }
+    }
+
+    /// Component name, unique within its application ("codec", "playlist").
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// What kind of component this is.
+    pub fn kind(&self) -> ComponentKind {
+        self.kind
+    }
+
+    /// The serialized body; its length drives migration cost.
+    pub fn payload(&self) -> &Blob {
+        &self.payload
     }
 
     /// Payload size in bytes.
     pub fn size(&self) -> u64 {
         self.payload.len() as u64
+    }
+
+    /// Content digest: equal to [`digest_of`] over this component, hashed
+    /// on first use and then shared by every clone.
+    pub fn digest(&self) -> Digest {
+        *self.digest.get_or_init(|| digest_of(self))
     }
 }
 
@@ -197,7 +230,7 @@ impl FromIterator<Component> for ComponentSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdagent_wire::{from_bytes, to_bytes};
+    use mdagent_wire::{digest_of, from_bytes, to_bytes};
 
     fn set() -> ComponentSet {
         [
@@ -217,7 +250,7 @@ mod tests {
         assert!(!s.has_kind(ComponentKind::Resource));
         assert_eq!(s.bytes_of_kind(ComponentKind::Data), 2_000_000);
         assert_eq!(s.total_bytes(), 2_240_000);
-        assert_eq!(s.get("codec").unwrap().kind, ComponentKind::Logic);
+        assert_eq!(s.get("codec").unwrap().kind(), ComponentKind::Logic);
         assert!(s.get("ghost").is_none());
     }
 
@@ -263,6 +296,56 @@ mod tests {
         // Wire size is dominated by payload bytes.
         assert!(s.wire_len() >= s.total_bytes());
         assert!(s.wire_len() < s.total_bytes() + 1024);
+    }
+
+    #[test]
+    fn digest_is_the_digest_of_the_component() {
+        let synthetic = Component::synthetic("codec", ComponentKind::Logic, 180_000);
+        assert_eq!(synthetic.digest(), digest_of(&synthetic));
+        let real = Component::with_payload("ui", ComponentKind::Presentation, vec![1, 2, 3]);
+        assert_eq!(real.digest(), digest_of(&real));
+        assert_ne!(real.digest(), synthetic.digest());
+        // A clone taken before the first digest computes the same value.
+        let fresh = Component::synthetic("track", ComponentKind::Data, 9_000);
+        let clone = fresh.clone();
+        assert_eq!(clone.digest(), digest_of(&fresh));
+        assert_eq!(fresh.digest(), clone.digest());
+        // The memo never travels: a decoded copy recomputes it.
+        let back: Component = from_bytes(&to_bytes(&synthetic)).unwrap();
+        assert_eq!(back.digest(), digest_of(&synthetic));
+    }
+
+    #[test]
+    fn clones_share_the_payload_bytes() {
+        let original = Component::synthetic("codec", ComponentKind::Logic, 180_000);
+        let clone = original.clone();
+        assert_eq!(
+            clone.payload().as_slice().as_ptr(),
+            original.payload().as_slice().as_ptr()
+        );
+        let s = set();
+        let shipped = s.subset(&["codec".into()]);
+        assert_eq!(
+            shipped.get("codec").unwrap().payload().as_slice().as_ptr(),
+            s.get("codec").unwrap().payload().as_slice().as_ptr()
+        );
+    }
+
+    #[test]
+    fn equality_ignores_the_digest_memo() {
+        let hashed = Component::synthetic("codec", ComponentKind::Logic, 1_000);
+        let _ = hashed.digest();
+        let unhashed = Component::synthetic("codec", ComponentKind::Logic, 1_000);
+        assert_eq!(hashed, unhashed);
+        assert_eq!(unhashed, hashed);
+        assert_ne!(
+            hashed,
+            Component::synthetic("codec", ComponentKind::Logic, 1_001)
+        );
+        assert_ne!(
+            hashed,
+            Component::synthetic("codec", ComponentKind::Data, 1_000)
+        );
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl MigrationLayer for DataPathLayer {
             let components = std::mem::take(&mut draft.components);
             let mut kept = ComponentSet::new();
             for component in components.iter() {
-                let digest = mdagent_wire::digest_of(component).as_u64();
+                let digest = component.digest().as_u64();
                 let encoded = component.encoded_len() as u64;
                 world
                     .content
@@ -68,7 +68,7 @@ impl MigrationLayer for DataPathLayer {
                     .or_insert_with(|| component.clone());
                 if world.host_holds_content(draft.dest_host, digest) {
                     draft.bytes_saved_cache += encoded;
-                    draft.elided.push((component.name.clone(), digest));
+                    draft.elided.push((component.name().to_owned(), digest));
                     world.env.metrics.incr_static("migration.cache_hits");
                 } else {
                     world.env.metrics.incr_static("migration.cache_misses");
@@ -265,8 +265,7 @@ impl Middleware {
     fn note_arrival(world: &mut Middleware, dest: HostId, cargo: &Cargo, snapshot: &Snapshot) {
         if world.data_path.component_cache {
             for component in cargo.components.iter() {
-                let digest = mdagent_wire::digest_of(component).as_u64();
-                world.remember_content(dest, digest, component);
+                world.remember_content(dest, component.digest().as_u64(), component);
             }
             for (_, digest) in &cargo.elided {
                 if let Some(cache) = world.content.caches.get_mut(&dest) {

@@ -19,7 +19,7 @@
 //! | [`TelemetryLayer`] | migration spans + wire trace-context propagation |
 //! | [`FaultRetryLayer`] | watchdogs, bounded backoff, rollback |
 //! | [`DataPathLayer`] | content-cache elision + snapshot deltas |
-//! | [`ExactlyOnceLayer`] | digest-guarded duplicate/orphan check-in |
+//! | [`ExactlyOnceLayer`] | sequence-guarded duplicate/orphan check-in |
 //! | [`SloLayer`] | burn-rate SLO feeds |
 //!
 //! Policy layers drop in without touching the skeleton:
@@ -206,8 +206,8 @@ pub struct FlightSetup {
 /// Arrival-side scratch state threaded through the check-in hooks.
 #[derive(Debug)]
 pub struct Arrival {
-    /// Digest of the arrived cargo (the exactly-once identity).
-    pub digest: u64,
+    /// The wrap's snapshot capture sequence (the exactly-once identity).
+    pub capture_sequence: u64,
     /// Snapshot resolved by a data-path layer (delta applied / full
     /// resend); the driver falls back to the cargo's own snapshot.
     pub snapshot: Option<Snapshot>,
@@ -230,10 +230,10 @@ pub struct Arrival {
 }
 
 impl Arrival {
-    /// Fresh arrival state for a cargo with the given digest.
-    pub fn new(digest: u64) -> Arrival {
+    /// Fresh arrival state for a cargo with the given capture sequence.
+    pub fn new(capture_sequence: u64) -> Arrival {
         Arrival {
-            digest,
+            capture_sequence,
             snapshot: None,
             components: Vec::new(),
             rebind_cost: SimDuration::ZERO,

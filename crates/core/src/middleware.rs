@@ -675,8 +675,8 @@ impl Middleware {
         }
         if self.data_path.component_cache {
             for component in components.iter() {
-                let digest = mdagent_wire::digest_of(component).as_u64();
-                record.set_digest(component.name.clone(), digest);
+                let digest = component.digest().as_u64();
+                record.set_digest(component.name().to_owned(), digest);
                 self.remember_content(host, digest, component);
             }
         }
@@ -845,7 +845,7 @@ impl Middleware {
                 .app(id)?
                 .components
                 .iter()
-                .map(|c| (c.name.clone(), mdagent_wire::digest_of(c).as_u64()))
+                .map(|c| (c.name().to_owned(), c.digest().as_u64()))
                 .collect();
             for (name, digest) in digests {
                 record.set_digest(name, digest);
@@ -1160,7 +1160,7 @@ impl Middleware {
             let staged: ComponentSet = app
                 .components
                 .iter()
-                .filter(|c| matches!(c.kind, ComponentKind::Logic | ComponentKind::Presentation))
+                .filter(|c| matches!(c.kind(), ComponentKind::Logic | ComponentKind::Presentation))
                 .cloned()
                 .collect();
             (app.name.clone(), app.host, staged)
@@ -1390,7 +1390,7 @@ impl Middleware {
         let app_id = cargo.plan.app();
         let dest = cargo.plan.dest_host();
         let now = sim.now();
-        let mut arrival = Arrival::new(mdagent_wire::digest_of(&cargo).as_u64());
+        let mut arrival = Arrival::new(cargo.snapshot.sequence);
         // The exactly-once layer swallows duplicate and orphan check-ins
         // here; any layer may veto the arrival.
         if let CheckinFlow::Drop = layers::stack_wrap_checkin(world, sim, ma, &cargo, &mut arrival)
@@ -1607,7 +1607,7 @@ impl Middleware {
         let source_app = cargo.plan.app();
         let now = sim.now();
 
-        let mut arrival = Arrival::new(mdagent_wire::digest_of(&cargo).as_u64());
+        let mut arrival = Arrival::new(cargo.snapshot.sequence);
         if let CheckinFlow::Drop =
             layers::stack_wrap_checkin(world, sim, clone_ma, &cargo, &mut arrival)
         {

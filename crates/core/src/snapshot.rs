@@ -5,6 +5,7 @@
 
 use std::collections::BTreeMap;
 
+use mdagent_wire::bytes::BytesMut;
 use mdagent_wire::{digest_of, impl_wire_struct, to_bytes, Wire, WireError};
 
 use crate::app::Application;
@@ -90,11 +91,25 @@ impl_wire_struct!(SnapshotDelta {
 
 /// Encoding used for diffing: the sequence field is zeroed so the
 /// always-changing capture counter at the tail does not defeat the
-/// common-suffix trim (it travels separately in the delta).
+/// common-suffix trim (it travels separately in the delta). The fields
+/// are encoded in place, in wire order, without cloning the snapshot.
 fn normalized_bytes(snap: &Snapshot) -> Vec<u8> {
-    let mut copy = snap.clone();
-    copy.sequence = 0;
-    to_bytes(&copy)
+    let Snapshot {
+        app_name,
+        coordinator,
+        profile_bytes,
+        sequence: _,
+    } = snap;
+    let len = app_name.encoded_len()
+        + coordinator.encoded_len()
+        + profile_bytes.encoded_len()
+        + 0u64.encoded_len();
+    let mut buf = BytesMut::with_capacity(len);
+    app_name.encode(&mut buf);
+    coordinator.encode(&mut buf);
+    profile_bytes.encode(&mut buf);
+    0u64.encode(&mut buf);
+    buf.freeze()
 }
 
 impl SnapshotDelta {
@@ -319,6 +334,18 @@ mod tests {
         assert_eq!(bytes.len() as u64, snap.wire_len());
         let back: Snapshot = mdagent_wire::from_bytes(&bytes).unwrap();
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn normalized_bytes_are_the_zero_sequence_encoding() {
+        let mut mgr = SnapshotManager::new(4);
+        let snap = mgr.capture(&app());
+        assert_ne!(snap.sequence, 0);
+        let zeroed = Snapshot {
+            sequence: 0,
+            ..snap.clone()
+        };
+        assert_eq!(normalized_bytes(&snap), to_bytes(&zeroed));
     }
 
     #[test]

@@ -57,8 +57,11 @@ impl Digest {
         }
         let tail = chunks.remainder();
         if !tail.is_empty() {
+            // Zero-padded little-endian word of the (under 8) tail bytes.
             let mut word = [0u8; 8];
-            word[..tail.len()].copy_from_slice(tail);
+            for (slot, byte) in word.iter_mut().zip(tail) {
+                *slot = *byte;
+            }
             hash = fx_add(hash, u64::from_le_bytes(word));
         }
         // Fold in the length so `[0]` and `[0, 0]` differ.
@@ -139,7 +142,16 @@ mod tests {
         // registry persists advertised digests across sessions in spirit.
         let d = Digest::of_bytes(b"mdagent");
         assert_eq!(d, Digest::of_bytes(b"mdagent"));
-        assert_ne!(d.as_u64(), 0);
         assert_eq!(format!("{d}").len(), 16);
+        // Tail only, whole words only, and a word plus a tail.
+        assert_eq!(d.as_u64(), 0x3956_8e9e_45d7_0d07);
+        assert_eq!(
+            Digest::of_bytes(b"12345678").as_u64(),
+            0x2261_345a_c88e_cb59
+        );
+        assert_eq!(
+            Digest::of_bytes(b"mdagent-wire").as_u64(),
+            0xbdca_c0bb_a957_39d9
+        );
     }
 }

@@ -2,6 +2,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
+use std::sync::Arc;
 
 use bytes::{BufMut, BytesMut};
 
@@ -52,11 +53,12 @@ pub trait Wire: Sized {
 /// Encodes a value into a fresh byte vector.
 ///
 /// The buffer is sized up front from [`Wire::encoded_len`], so encoding is
-/// a single pass with no reallocation even for multi-megabyte payloads.
+/// a single pass with no reallocation even for multi-megabyte payloads,
+/// and the finished buffer is handed over without a copy.
 pub fn to_bytes<T: Wire>(value: &T) -> Vec<u8> {
     let mut buf = BytesMut::with_capacity(value.encoded_len());
     value.encode(&mut buf);
-    buf.to_vec()
+    buf.freeze()
 }
 
 /// Decodes a value from a byte slice, requiring full consumption.
@@ -290,6 +292,21 @@ where
         }
         Ok(out)
     }
+    fn encoded_len(&self) -> usize {
+        map_encoded_len(self.len(), self.iter())
+    }
+}
+
+/// Exact encoded size of a map: the entry count, then every key and value.
+/// Order does not matter to a sum, so a hash map needs no sort here.
+fn map_encoded_len<'a, K: Wire + 'a, V: Wire + 'a>(
+    len: usize,
+    entries: impl Iterator<Item = (&'a K, &'a V)>,
+) -> usize {
+    varint_len(len as u64)
+        + entries
+            .map(|(k, v)| k.encoded_len() + v.encoded_len())
+            .sum::<usize>()
 }
 
 // Generic over the hasher so deterministic maps (e.g. `FxHashMap`)
@@ -319,6 +336,9 @@ where
             out.insert(k, v);
         }
         Ok(out)
+    }
+    fn encoded_len(&self) -> usize {
+        map_encoded_len(self.len(), self.iter())
     }
 }
 
@@ -419,7 +439,8 @@ impl Wire for () {
 ///
 /// `Vec<u8>` encodes each byte as a varint through the generic `Vec<T>`
 /// impl; `Blob` stores bytes verbatim, which is what application data files
-/// (music, slides) want.
+/// (music, slides) want. The bytes are immutable and reference-counted, so
+/// cloning a blob shares its buffer instead of copying it.
 ///
 /// # Examples
 ///
@@ -428,14 +449,16 @@ impl Wire for () {
 ///
 /// let blob = Blob::zeroed(1024);
 /// assert_eq!(blob.encoded_len(), 1024 + 2); // payload + 2-byte varint prefix
+/// let copy = blob.clone();
+/// assert_eq!(copy.as_slice().as_ptr(), blob.as_slice().as_ptr());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Blob(pub Vec<u8>);
+pub struct Blob(Arc<Vec<u8>>);
 
 impl Blob {
     /// Creates a blob of `len` zero bytes, handy for synthetic data files.
     pub fn zeroed(len: usize) -> Self {
-        Blob(vec![0; len])
+        Blob::from(vec![0; len])
     }
 
     /// Byte length of the payload.
@@ -447,11 +470,16 @@ impl Blob {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
+
+    /// The payload bytes.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.0
+    }
 }
 
 impl From<Vec<u8>> for Blob {
     fn from(v: Vec<u8>) -> Self {
-        Blob(v)
+        Blob(Arc::new(v))
     }
 }
 
@@ -468,7 +496,7 @@ impl Wire for Blob {
     }
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
         let len = reader.take_len()?;
-        Ok(Blob(reader.take(len)?.to_vec()))
+        Ok(Blob::from(reader.take(len)?.to_vec()))
     }
     fn encoded_len(&self) -> usize {
         varint_len(self.0.len() as u64) + self.0.len()
@@ -513,7 +541,7 @@ mod tests {
         roundtrip(Box::new(9u16));
         roundtrip(("key".to_string(), 5u32));
         roundtrip(("a".to_string(), 1u8, true));
-        roundtrip(Blob(vec![9, 8, 7]));
+        roundtrip(Blob::from(vec![9, 8, 7]));
         let mut map = HashMap::new();
         map.insert("b".to_string(), 2u32);
         map.insert("a".to_string(), 1u32);

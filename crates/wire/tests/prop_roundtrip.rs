@@ -1,7 +1,7 @@
 //! Property tests: every encodable value decodes back to itself, and
 //! `encoded_len` always tells the truth.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use mdagent_wire::{from_bytes, to_bytes, Blob, Envelope, Wire};
 use proptest::prelude::*;
@@ -42,13 +42,21 @@ proptest! {
     }
 
     #[test]
+    fn btreemap_roundtrip(v in proptest::collection::vec((".{0,16}", ".{0,64}"), 0..32)) {
+        // String -> String: the shape of a coordinator's state map.
+        let v: BTreeMap<String, String> =
+            v.into_iter().map(|(k, s)| (k.to_string(), s.to_string())).collect();
+        assert_roundtrip(&v);
+    }
+
+    #[test]
     fn option_roundtrip(v in proptest::option::of(any::<u32>())) {
         assert_roundtrip(&v);
     }
 
     #[test]
     fn blob_roundtrip(v in proptest::collection::vec(any::<u8>(), 0..512)) {
-        assert_roundtrip(&Blob(v));
+        assert_roundtrip(&Blob::from(v));
     }
 
     #[test]
