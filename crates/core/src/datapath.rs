@@ -1,50 +1,33 @@
-//! Migration data-path options: content-addressed component caching and
-//! delta-encoded snapshots.
+//! The migration data-path switch and the per-host component cache.
 //!
-//! Both mechanisms are opt-in (default off) so the paper-calibrated
-//! figures keep their exact byte counts; the migration bench enables them
-//! to quantify the savings.
+//! The optimized data path — content-addressed component caching and
+//! delta-encoded snapshots — is on exactly when a
+//! [`DataPathLayer`](crate::DataPathLayer) is in the migration layer
+//! stack, and that layer owns its caches and content store.
+//! [`DataPathOptions`] is the builder's on/off for it: off by default so
+//! the paper-calibrated figures keep their exact byte counts; the
+//! migration bench turns it on to quantify the savings.
 
-/// Opt-in switches for the optimized migration data path.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Whether the builder appends the optimized migration data path
+/// (component cache + delta snapshots) to the layer stack. Off by
+/// default.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DataPathOptions {
-    /// Elide components whose wire encoding the destination already holds
-    /// (matched by content digest), shipping only the digest.
-    pub component_cache: bool,
-    /// Encode repeat snapshots as deltas against the last snapshot the
-    /// destination acknowledged, when the delta is smaller.
-    pub delta_snapshots: bool,
-    /// Per-host budget of cached component bytes; least recently used
-    /// entries are evicted first.
-    pub cache_capacity_bytes: u64,
-}
-
-impl Default for DataPathOptions {
-    fn default() -> Self {
-        DataPathOptions {
-            component_cache: false,
-            delta_snapshots: false,
-            cache_capacity_bytes: 8 * 1024 * 1024,
-        }
-    }
+    pub(crate) enabled: bool,
 }
 
 impl DataPathOptions {
-    /// All optimizations on, with the default cache budget.
+    /// The data path on: component cache and delta snapshots.
     pub fn all() -> Self {
-        DataPathOptions {
-            component_cache: true,
-            delta_snapshots: true,
-            ..DataPathOptions::default()
-        }
+        DataPathOptions { enabled: true }
     }
 }
 
 /// A per-host LRU cache of component encodings keyed by content digest.
 ///
 /// Only digests and sizes are tracked — the actual bytes live once in the
-/// middleware's content store; the cache answers "does this host already
-/// hold these bytes" and enforces the per-host budget.
+/// data-path layer's content store; the cache answers "does this host
+/// already hold these bytes" and enforces the per-host budget.
 #[derive(Debug, Clone, Default)]
 pub struct ComponentCache {
     /// Least recently used at the front, most recently used at the back.
@@ -130,12 +113,8 @@ mod tests {
 
     #[test]
     fn defaults_are_off() {
-        let opts = DataPathOptions::default();
-        assert!(!opts.component_cache);
-        assert!(!opts.delta_snapshots);
-        assert!(opts.cache_capacity_bytes > 0);
-        let all = DataPathOptions::all();
-        assert!(all.component_cache && all.delta_snapshots);
+        assert!(!DataPathOptions::default().enabled);
+        assert!(DataPathOptions::all().enabled);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl MigrationLayer for AdmissionControlLayer {
     }
 
     fn wrap_transfer(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         ma: &AgentId,

@@ -1,8 +1,8 @@
 //! [`ExactlyOnceLayer`]: sequence-guarded duplicate/orphan check-in.
 //!
 //! Owns the idempotency guard of PR 4: every follow-me deployment is
-//! recorded in the [`CheckinLedger`] under the capture sequence of the
-//! cargo's snapshot, a retried wrap whose predecessor already landed is
+//! recorded in the layer under the capture sequence of the cargo's
+//! snapshot, a retried wrap whose predecessor already landed is
 //! acknowledged (never deployed a second time), and an arrival whose
 //! flight bookkeeping is gone is swallowed as an orphan. Clone arrivals
 //! install replicas unconditionally, so this layer passes them through.
@@ -23,30 +23,14 @@ use crate::mobility::MobilityMode;
 
 use super::{Arrival, CheckinFlow, InFlight, MigrationLayer};
 
-/// Capture sequence of the cargo last deployed per app (raw id) — the
-/// idempotency guard that turns a duplicate check-in into an
-/// acknowledgement.
+/// The exactly-once check-in concern as a drop-in layer.
 #[derive(Debug, Default)]
-pub(crate) struct CheckinLedger {
+pub struct ExactlyOnceLayer {
+    /// Capture sequence of the cargo last deployed per app (raw id) — the
+    /// idempotency guard that turns a duplicate check-in into an
+    /// acknowledgement.
     deployed: FxHashMap<u32, u64>,
 }
-
-impl CheckinLedger {
-    /// Whether the cargo captured at `sequence` is exactly what was last
-    /// deployed for this app.
-    fn matches(&self, app_raw: u32, sequence: u64) -> bool {
-        self.deployed.get(&app_raw) == Some(&sequence)
-    }
-
-    /// Records the capture sequence just deployed for this app.
-    fn note(&mut self, app_raw: u32, sequence: u64) {
-        self.deployed.insert(app_raw, sequence);
-    }
-}
-
-/// The exactly-once check-in concern as a drop-in layer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExactlyOnceLayer;
 
 impl MigrationLayer for ExactlyOnceLayer {
     fn name(&self) -> &'static str {
@@ -54,7 +38,7 @@ impl MigrationLayer for ExactlyOnceLayer {
     }
 
     fn wrap_checkin(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         ma: &AgentId,
@@ -71,9 +55,7 @@ impl MigrationLayer for ExactlyOnceLayer {
         // landed is acknowledged, never deployed a second time: the app
         // already sits at the destination, deployed from this very wrap.
         let already_here = world.app(app_id).map(|a| a.host) == Ok(dest)
-            && world
-                .checkin_ledger
-                .matches(app_id.0, arrival.capture_sequence);
+            && self.deployed.get(&app_id.0) == Some(&arrival.capture_sequence);
         if already_here {
             world
                 .env
@@ -103,20 +85,19 @@ impl MigrationLayer for ExactlyOnceLayer {
     }
 
     fn after_checkin(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         cargo: &Cargo,
         flight: Option<&InFlight>,
         arrival: &Arrival,
     ) {
-        let _ = (sim, flight);
+        let _ = (world, sim, flight);
         if cargo.plan.mode != MobilityMode::FollowMe {
             return;
         }
-        world
-            .checkin_ledger
-            .note(cargo.plan.app().0, arrival.capture_sequence);
+        self.deployed
+            .insert(cargo.plan.app().0, arrival.capture_sequence);
     }
 }
 
@@ -149,7 +130,7 @@ mod tests {
         }
 
         fn before_transfer(
-            &self,
+            &mut self,
             world: &mut Middleware,
             sim: &mut Simulator<Middleware>,
             ma: &AgentId,

@@ -6,10 +6,16 @@
 //! that restores a follow-me application at its source when attempts run
 //! out. Without this layer nothing is armed and a lost transfer is simply
 //! lost (exactly the pre-PR-4 behavior — only safe with faults off).
+//!
+//! The retry schedule is a set of constants: three transfer attempts,
+//! exponential backoff from 200 ms capped at 5 s, and 500 ms of slack on
+//! top of each attempt's estimated transfer.
 
-use mdagent_agent::{AclMessage, AgentId, LifecycleState, Performative, Platform};
+use mdagent_agent::{
+    AclMessage, AgentId, LifecycleState, Performative, Platform, AGENT_FRAME_BYTES, MIGRATION_SETUP,
+};
 use mdagent_simnet::{
-    CpuFactor, SimDuration, SimTime, Simulator, SpanId, TraceCategory, TraceEvent,
+    CpuFactor, HostId, SimDuration, SimTime, Simulator, SpanId, TraceCategory, TraceEvent,
 };
 
 use crate::app::{AppId, AppState};
@@ -19,6 +25,37 @@ use crate::observability::SLO_MIGRATION_COMPLETION;
 use crate::snapshot::SnapshotManager;
 
 use super::{FlightSetup, InFlight, MigrationLayer};
+
+/// Transfer attempts (the initial send plus retries) before a follow-me
+/// migration rolls back at its source: two retries.
+const MAX_ATTEMPTS: u32 = 3;
+/// Backoff before the first retry; doubles on each further retry.
+const BACKOFF_BASE: SimDuration = SimDuration::from_millis(200);
+/// Upper bound on any single backoff.
+const BACKOFF_CAP: SimDuration = SimDuration::from_secs(5);
+/// Slack added to an attempt's estimated transfer before the watchdog
+/// declares it timed out (and the wait before re-checking a transfer
+/// still in transit).
+const TIMEOUT_SLACK: SimDuration = SimDuration::from_millis(500);
+
+/// Backoff before retry number `retry` (1-based): `base · 2^(retry−1)`,
+/// capped at `BACKOFF_CAP`.
+fn backoff(retry: u32) -> SimDuration {
+    let exp = retry.saturating_sub(1).min(16);
+    let scaled = SimDuration::from_secs_f64(BACKOFF_BASE.as_secs_f64() * (1u64 << exp) as f64);
+    scaled.min(BACKOFF_CAP)
+}
+
+/// Per-attempt transfer window: agent setup plus the estimated pipelined
+/// transfer of `bytes` of cargo in its agent frame, plus the slack.
+fn transfer_window(world: &Middleware, src: HostId, dest: HostId, bytes: u64) -> SimDuration {
+    let transfer = world
+        .env
+        .topology
+        .pipelined_transfer_time(src, dest, bytes + AGENT_FRAME_BYTES)
+        .unwrap_or(SimDuration::ZERO);
+    MIGRATION_SETUP + transfer + TIMEOUT_SLACK
+}
 
 /// The retry/rollback concern as a drop-in layer.
 #[derive(Debug, Clone, Copy, Default)]
@@ -30,30 +67,26 @@ impl MigrationLayer for FaultRetryLayer {
     }
 
     fn before_depart(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         setup: &mut FlightSetup,
     ) {
         let _ = sim;
-        // Per-attempt transfer window: setup + estimated pipelined transfer
-        // plus the policy's slack. Only computed (and a watchdog armed)
-        // when faults are on, so fault-free runs schedule nothing extra.
+        // Only computed (and a watchdog armed) when faults are on, so
+        // fault-free runs schedule nothing extra.
         if world.env.faults.enabled() {
-            let transfer = world
-                .env
-                .topology
-                .pipelined_transfer_time(
-                    setup.src_host,
-                    setup.dest_host,
-                    setup.wrapped_bytes + mdagent_agent::AGENT_FRAME_BYTES,
-                )
-                .unwrap_or(SimDuration::ZERO);
-            setup.timeout = mdagent_agent::MIGRATION_SETUP + transfer + world.retry.timeout_margin;
+            setup.timeout =
+                transfer_window(world, setup.src_host, setup.dest_host, setup.wrapped_bytes);
         }
     }
 
-    fn after_suspend(&self, world: &mut Middleware, sim: &mut Simulator<Middleware>, ma: &AgentId) {
+    fn after_suspend(
+        &mut self,
+        world: &mut Middleware,
+        sim: &mut Simulator<Middleware>,
+        ma: &AgentId,
+    ) {
         // Clone flights get their own watchdog at dispatch time (the
         // source flight is transient bookkeeping); follow-me is guarded
         // from the start.
@@ -90,7 +123,7 @@ impl Middleware {
         now: SimTime,
         clone_id: AgentId,
         app: AppId,
-        dest_host: mdagent_simnet::HostId,
+        dest_host: HostId,
         shipped_bytes: u64,
         suspend: SimDuration,
         spans: (SpanId, SpanId),
@@ -106,16 +139,7 @@ impl Middleware {
             .map(|a| a.host)
             .unwrap_or(dest_host);
         let timeout = if world.env.faults.enabled() {
-            let transfer = world
-                .env
-                .topology
-                .pipelined_transfer_time(
-                    src_host,
-                    dest_host,
-                    shipped_bytes + mdagent_agent::AGENT_FRAME_BYTES,
-                )
-                .unwrap_or(SimDuration::ZERO);
-            mdagent_agent::MIGRATION_SETUP + transfer + world.retry.timeout_margin
+            transfer_window(world, src_host, dest_host, shipped_bytes)
         } else {
             SimDuration::ZERO
         };
@@ -149,7 +173,7 @@ impl Middleware {
         sim: &mut Simulator<Middleware>,
         source_ma: &AgentId,
         clone_id: AgentId,
-        dest_host: mdagent_simnet::HostId,
+        dest_host: HostId,
     ) {
         let now = sim.now();
         let Some((app, suspend, shipped, spans)) = world.in_flight_suspend(source_ma) else {
@@ -258,11 +282,10 @@ impl Middleware {
             Some(LifecycleState::InTransit) => {
                 // Transfer still running — the estimate was short; wait
                 // one more margin and look again.
-                let margin = world.retry.timeout_margin;
-                Middleware::arm_watchdog(sim, ma.clone(), attempt, margin);
+                Middleware::arm_watchdog(sim, ma.clone(), attempt, TIMEOUT_SLACK);
             }
             Some(LifecycleState::Active | LifecycleState::Suspended)
-                if !cloned && attempt < world.retry.max_attempts =>
+                if !cloned && attempt < MAX_ATTEMPTS =>
             {
                 // The agent bounced back to the source: the transfer was
                 // dropped. Nudge it to re-dispatch after a backoff.
@@ -279,10 +302,10 @@ impl Middleware {
                         attempt: next,
                     },
                 );
-                let backoff = world.retry.backoff(next - 1);
+                let wait = backoff(next - 1);
                 let kernel_name = world.platform.name().to_owned();
                 let target = ma.clone();
-                sim.schedule_in(backoff, move |w, sim| {
+                sim.schedule_in(wait, move |w, sim| {
                     let msg = AclMessage::new(
                         Performative::Inform,
                         AgentId::new("middleware", kernel_name),
@@ -292,7 +315,7 @@ impl Middleware {
                     .with_payload(&RetryNotice { attempt: next });
                     Platform::send(w, sim, msg);
                 });
-                Middleware::arm_watchdog(sim, ma.clone(), next, backoff + timeout);
+                Middleware::arm_watchdog(sim, ma.clone(), next, wait + timeout);
             }
             _ => Middleware::rollback_migration(world, sim, ma),
         }
@@ -389,5 +412,26 @@ impl Middleware {
                 },
             );
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn retry_schedule_is_pinned() {
+        assert_eq!(MAX_ATTEMPTS, 3);
+        for (retry, millis) in [(1, 200), (2, 400), (3, 800), (4, 1_600), (5, 3_200)] {
+            assert_eq!(
+                backoff(retry),
+                SimDuration::from_millis(millis),
+                "retry {retry}"
+            );
+        }
+        for retry in [6, 7, 17, 18, u32::MAX] {
+            assert_eq!(backoff(retry), SimDuration::from_secs(5), "retry {retry}");
+        }
+        assert_eq!(TIMEOUT_SLACK, SimDuration::from_millis(500));
     }
 }

@@ -11,17 +11,19 @@
 //! operation they guard (the unwind still runs the entered outer layers'
 //! [`MigrationLayer::on_abort`] exactly once).
 //!
-//! The default stack — [`LayerStack::standard`] — reproduces the
-//! pre-refactor inline behavior bit-for-bit:
+//! A concern is on exactly when its layer is in the stack, and the layer
+//! owns its state. The default stack — [`LayerStack::standard`] —
+//! reproduces the pre-refactor inline behavior bit-for-bit:
 //!
 //! | Layer | Concern |
 //! |-------|---------|
 //! | [`TelemetryLayer`] | migration spans + wire trace-context propagation |
 //! | [`FaultRetryLayer`] | watchdogs, bounded backoff, rollback |
-//! | [`DataPathLayer`] | content-cache elision + snapshot deltas |
 //! | [`ExactlyOnceLayer`] | sequence-guarded duplicate/orphan check-in |
 //! | [`SloLayer`] | burn-rate SLO feeds |
 //!
+//! [`DataPathLayer`] (content-cache elision + snapshot deltas) joins the
+//! stack innermost when the builder is asked for the optimized data path.
 //! Policy layers drop in without touching the skeleton:
 //! [`AdmissionControlLayer`] caps in-flight migrations per destination
 //! space purely through [`MigrationLayer::wrap_transfer`]. See DESIGN.md
@@ -39,15 +41,14 @@ mod slo;
 mod telemetry;
 
 pub use admission::AdmissionControlLayer;
-pub(crate) use datapath::ContentState;
 pub use datapath::DataPathLayer;
-pub(crate) use exactly_once::CheckinLedger;
 pub use exactly_once::ExactlyOnceLayer;
 pub use fault_retry::FaultRetryLayer;
 pub use slo::SloLayer;
 pub use telemetry::TelemetryLayer;
 
 use mdagent_agent::AgentId;
+use mdagent_registry::ApplicationRecord;
 use mdagent_simnet::{CpuFactor, HostId, SimDuration, SimTime, Simulator, SpanId};
 
 use crate::app::AppId;
@@ -262,20 +263,34 @@ pub struct ResumeOutcome {
 /// One cross-cutting concern wrapped around the migration lifecycle.
 ///
 /// Every hook defaults to a pass-through, so a layer implements only the
-/// phases it cares about. Hooks receive the world with the stack checked
-/// out: they may mutate state and schedule future events, but must not
-/// synchronously re-enter the migration lifecycle.
+/// phases it cares about, and keeps the state of its concern in itself.
+/// Lifecycle hooks receive the world with the stack checked out: they may
+/// mutate state and schedule future events, but must not synchronously
+/// re-enter the migration lifecycle.
 ///
-/// Entry hooks (`before_*`, `wrap_*` until a short-circuit) run in stack
-/// order; exit hooks (`after_*`, `on_abort` during an unwind) run in
-/// reverse stack order.
+/// Entry hooks (`before_*`, `wrap_*` until a short-circuit, and the two
+/// registration hooks) run in stack order; exit hooks (`after_*`,
+/// `on_abort` during an unwind) run in reverse stack order.
 pub trait MigrationLayer: std::fmt::Debug {
     /// Short stable name (diagnostics, DESIGN.md catalog).
     fn name(&self) -> &'static str;
 
+    /// A registry record is about to advertise `components` (a
+    /// deployment, a check-in or a provisioning). Runs outside the
+    /// migration lifecycle and sees no world.
+    fn before_register(&mut self, record: &mut ApplicationRecord, components: &ComponentSet) {
+        let _ = (record, components);
+    }
+
+    /// `components` were preinstalled on `host`, before any migration
+    /// brings them. Sees no world.
+    fn on_provision(&mut self, host: HostId, components: &ComponentSet) {
+        let _ = (host, components);
+    }
+
     /// Wrap phase: the cargo is assembled but not yet sealed.
     fn before_wrap(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         draft: &mut CargoDraft,
@@ -286,7 +301,7 @@ pub trait MigrationLayer: std::fmt::Debug {
     /// The cargo is sealed and costed; the flight record is about to be
     /// created from `setup`.
     fn before_depart(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         setup: &mut FlightSetup,
@@ -295,14 +310,19 @@ pub trait MigrationLayer: std::fmt::Debug {
     }
 
     /// The flight record exists and the suspension is scheduled.
-    fn after_suspend(&self, world: &mut Middleware, sim: &mut Simulator<Middleware>, ma: &AgentId) {
+    fn after_suspend(
+        &mut self,
+        world: &mut Middleware,
+        sim: &mut Simulator<Middleware>,
+        ma: &AgentId,
+    ) {
         let _ = (world, sim, ma);
     }
 
     /// The suspension cost has elapsed; the cargo is about to be handed
     /// to the mobile agent (last chance to stamp the wire).
     fn before_transfer(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         ma: &AgentId,
@@ -315,7 +335,7 @@ pub trait MigrationLayer: std::fmt::Debug {
     /// already-entered outer layers unwind through
     /// [`MigrationLayer::on_abort`] exactly once each, in reverse order.
     fn wrap_transfer(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         ma: &AgentId,
@@ -328,7 +348,7 @@ pub trait MigrationLayer: std::fmt::Debug {
     /// Around the destination check-in: may swallow a duplicate or
     /// orphan arrival.
     fn wrap_checkin(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         ma: &AgentId,
@@ -343,7 +363,7 @@ pub trait MigrationLayer: std::fmt::Debug {
     /// application (or replica) is mutated. `flight` is `None` for an
     /// orphan clone arrival that installs anyway.
     fn before_checkin(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         cargo: &Cargo,
@@ -356,7 +376,7 @@ pub trait MigrationLayer: std::fmt::Debug {
     /// The application (or replica) is installed and costed; runs in
     /// reverse order before the resume is scheduled.
     fn after_checkin(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         cargo: &Cargo,
@@ -369,7 +389,7 @@ pub trait MigrationLayer: std::fmt::Debug {
     /// The resume cost has elapsed; runs (in reverse order) before the
     /// driver emits its `Resumed`/`ReplicaRunning` trace event.
     fn before_resume(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         outcome: &ResumeOutcome,
@@ -379,7 +399,7 @@ pub trait MigrationLayer: std::fmt::Debug {
 
     /// The resume is fully recorded; runs in reverse order.
     fn after_resume(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         outcome: &ResumeOutcome,
@@ -393,7 +413,7 @@ pub trait MigrationLayer: std::fmt::Debug {
     /// `flight` is the record being abandoned (already out of the world's
     /// in-flight table on the arrival side).
     fn on_abort(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         ma: &AgentId,
@@ -421,15 +441,14 @@ impl LayerStack {
         LayerStack { layers }
     }
 
-    /// The default five-layer stack, equivalent to the pre-refactor
+    /// The default four-layer stack, equivalent to the pre-refactor
     /// inline code paths (and byte-identical in every default
     /// configuration).
     pub fn standard() -> Vec<Box<dyn MigrationLayer>> {
         vec![
             Box::new(TelemetryLayer),
             Box::new(FaultRetryLayer),
-            Box::new(DataPathLayer),
-            Box::new(ExactlyOnceLayer),
+            Box::<ExactlyOnceLayer>::default(),
             Box::new(SloLayer),
         ]
     }
@@ -439,18 +458,34 @@ impl LayerStack {
         self.layers.push(layer);
     }
 
-    /// The layers, outermost first.
-    pub fn layers(&self) -> &[Box<dyn MigrationLayer>] {
-        &self.layers
+    /// Runs every layer's [`MigrationLayer::before_register`].
+    pub(crate) fn before_register(
+        &mut self,
+        record: &mut ApplicationRecord,
+        components: &ComponentSet,
+    ) {
+        for layer in &mut self.layers {
+            layer.before_register(record, components);
+        }
+    }
+
+    /// Runs every layer's [`MigrationLayer::on_provision`].
+    pub(crate) fn on_provision(&mut self, host: HostId, components: &ComponentSet) {
+        for layer in &mut self.layers {
+            layer.on_provision(host, components);
+        }
     }
 }
 
 /// Checks the stack out of the world, runs `f` over it, and puts it
 /// back. Hooks therefore see an empty stack if they (incorrectly)
 /// re-enter the lifecycle synchronously.
-fn with_stack<R>(world: &mut Middleware, f: impl FnOnce(&mut Middleware, &LayerStack) -> R) -> R {
-    let stack = std::mem::take(&mut world.layers);
-    let out = f(world, &stack);
+fn with_stack<R>(
+    world: &mut Middleware,
+    f: impl FnOnce(&mut Middleware, &mut LayerStack) -> R,
+) -> R {
+    let mut stack = std::mem::take(&mut world.layers);
+    let out = f(world, &mut stack);
     world.layers = stack;
     out
 }
@@ -461,7 +496,7 @@ pub(crate) fn stack_before_wrap(
     draft: &mut CargoDraft,
 ) {
     with_stack(world, |world, stack| {
-        for layer in stack.layers() {
+        for layer in &mut stack.layers {
             layer.before_wrap(world, sim, draft);
         }
     });
@@ -473,7 +508,7 @@ pub(crate) fn stack_before_depart(
     setup: &mut FlightSetup,
 ) {
     with_stack(world, |world, stack| {
-        for layer in stack.layers() {
+        for layer in &mut stack.layers {
             layer.before_depart(world, sim, setup);
         }
     });
@@ -485,7 +520,7 @@ pub(crate) fn stack_after_suspend(
     ma: &AgentId,
 ) {
     with_stack(world, |world, stack| {
-        for layer in stack.layers() {
+        for layer in &mut stack.layers {
             layer.after_suspend(world, sim, ma);
         }
     });
@@ -498,7 +533,7 @@ pub(crate) fn stack_before_transfer(
     cargo: &mut Cargo,
 ) {
     with_stack(world, |world, stack| {
-        for layer in stack.layers() {
+        for layer in &mut stack.layers {
             layer.before_transfer(world, sim, ma, cargo);
         }
     });
@@ -514,22 +549,29 @@ pub(crate) fn stack_wrap_transfer(
     cargo: &Cargo,
 ) -> TransferFlow {
     with_stack(world, |world, stack| {
-        for (depth, layer) in stack.layers().iter().enumerate() {
-            if let TransferFlow::Reject(why) = layer.wrap_transfer(world, sim, ma, cargo) {
-                let flight = world.in_flight.get(ma).cloned();
-                for outer in stack.layers()[..depth].iter().rev() {
-                    outer.on_abort(
-                        world,
-                        sim,
-                        ma,
-                        flight.as_ref(),
-                        AbortReason::DepartureRejected,
-                    );
-                }
-                return TransferFlow::Reject(why);
+        let mut entered = 0;
+        let mut flow = TransferFlow::Proceed;
+        for layer in &mut stack.layers {
+            flow = layer.wrap_transfer(world, sim, ma, cargo);
+            if flow != TransferFlow::Proceed {
+                break;
             }
+            entered += 1;
         }
-        TransferFlow::Proceed
+        if flow == TransferFlow::Proceed {
+            return flow;
+        }
+        let flight = world.in_flight.get(ma).cloned();
+        for outer in stack.layers.iter_mut().take(entered).rev() {
+            outer.on_abort(
+                world,
+                sim,
+                ma,
+                flight.as_ref(),
+                AbortReason::DepartureRejected,
+            );
+        }
+        flow
     })
 }
 
@@ -542,7 +584,7 @@ pub(crate) fn stack_wrap_checkin(
     arrival: &mut Arrival,
 ) -> CheckinFlow {
     with_stack(world, |world, stack| {
-        for layer in stack.layers() {
+        for layer in &mut stack.layers {
             if layer.wrap_checkin(world, sim, ma, cargo, arrival) == CheckinFlow::Drop {
                 return CheckinFlow::Drop;
             }
@@ -559,7 +601,7 @@ pub(crate) fn stack_before_checkin(
     arrival: &mut Arrival,
 ) {
     with_stack(world, |world, stack| {
-        for layer in stack.layers() {
+        for layer in &mut stack.layers {
             layer.before_checkin(world, sim, cargo, flight, arrival);
         }
     });
@@ -573,7 +615,7 @@ pub(crate) fn stack_after_checkin(
     arrival: &Arrival,
 ) {
     with_stack(world, |world, stack| {
-        for layer in stack.layers().iter().rev() {
+        for layer in stack.layers.iter_mut().rev() {
             layer.after_checkin(world, sim, cargo, flight, arrival);
         }
     });
@@ -585,7 +627,7 @@ pub(crate) fn stack_before_resume(
     outcome: &ResumeOutcome,
 ) {
     with_stack(world, |world, stack| {
-        for layer in stack.layers().iter().rev() {
+        for layer in stack.layers.iter_mut().rev() {
             layer.before_resume(world, sim, outcome);
         }
     });
@@ -597,7 +639,7 @@ pub(crate) fn stack_after_resume(
     outcome: &ResumeOutcome,
 ) {
     with_stack(world, |world, stack| {
-        for layer in stack.layers().iter().rev() {
+        for layer in stack.layers.iter_mut().rev() {
             layer.after_resume(world, sim, outcome);
         }
     });
@@ -628,7 +670,7 @@ pub(crate) fn stack_on_abort(
     reason: AbortReason,
 ) {
     with_stack(world, |world, stack| {
-        for layer in stack.layers().iter().rev() {
+        for layer in stack.layers.iter_mut().rev() {
             layer.on_abort(world, sim, ma, flight, reason);
         }
     });

@@ -25,7 +25,7 @@ impl MigrationLayer for SloLayer {
     }
 
     fn after_resume(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         outcome: &ResumeOutcome,

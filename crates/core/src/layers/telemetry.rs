@@ -27,7 +27,7 @@ impl MigrationLayer for TelemetryLayer {
     }
 
     fn before_depart(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         setup: &mut FlightSetup,
@@ -62,7 +62,7 @@ impl MigrationLayer for TelemetryLayer {
     }
 
     fn before_transfer(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         ma: &AgentId,
@@ -96,7 +96,7 @@ impl MigrationLayer for TelemetryLayer {
     }
 
     fn before_checkin(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         cargo: &Cargo,
@@ -110,11 +110,6 @@ impl MigrationLayer for TelemetryLayer {
                 let Some(flight) = flight else {
                     return;
                 };
-                let migrate = now.saturating_since(flight.departed_at);
-                world
-                    .env
-                    .metrics
-                    .observe_static("migration.migrate", migrate);
                 world.env.telemetry.end(flight.migrate_span, now);
                 Middleware::ctx_span(world, cargo.trace_ctx, "migration.checkin", now, now);
                 if flight.attempts > 1 {
@@ -146,7 +141,7 @@ impl MigrationLayer for TelemetryLayer {
     }
 
     fn after_checkin(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         cargo: &Cargo,
@@ -205,7 +200,7 @@ impl MigrationLayer for TelemetryLayer {
     }
 
     fn before_resume(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         outcome: &ResumeOutcome,
@@ -214,7 +209,7 @@ impl MigrationLayer for TelemetryLayer {
     }
 
     fn on_abort(
-        &self,
+        &mut self,
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         ma: &AgentId,

@@ -103,7 +103,7 @@ pub use rules::{
     decide_move, decide_move_with, paper_rules, DecisionEngine, MoveDecision, PAPER_RULES,
 };
 pub use snapshot::{decode_components, is_consistent, Snapshot, SnapshotDelta, SnapshotManager};
-pub use timing::{CostModel, HostClock, PhaseTimes, RetryPolicy, RoundTrip};
+pub use timing::{CostModel, HostClock, PhaseTimes, RoundTrip};
 
 // Fault injection is configured through the builder; re-export the simnet
 // types so callers need not depend on mdagent-simnet for the options.

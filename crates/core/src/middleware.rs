@@ -22,15 +22,15 @@ use crate::component::{ComponentKind, ComponentSet};
 use crate::datapath::DataPathOptions;
 use crate::error::CoreError;
 use crate::layers::{
-    self, Arrival, CargoDraft, CheckinFlow, CheckinLedger, ContentState, FlightSetup, InFlight,
-    LayerStack, MigrationLayer, ResumeOutcome,
+    self, Arrival, CargoDraft, CheckinFlow, DataPathLayer, FlightSetup, InFlight, LayerStack,
+    MigrationLayer, ResumeOutcome,
 };
 use crate::messages::{ontologies, Cargo, ContextNotice, SyncUpdate};
 use crate::mobility::{BindingPolicy, DataStrategy, MigrationPlan, MobilityMode};
 use crate::observability::ObservabilityOptions;
 use crate::profile::{DeviceProfile, UserProfile};
 use crate::snapshot::SnapshotManager;
-use crate::timing::{CostModel, HostClock, PhaseTimes, RetryPolicy};
+use crate::timing::{CostModel, HostClock, PhaseTimes};
 
 /// A completed migration, as recorded for the benchmarks.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,8 +73,6 @@ pub struct Middleware {
     pub snapshots: SnapshotManager,
     /// Cost constants.
     pub cost_model: CostModel,
-    /// Migration retry/backoff policy (only consulted when faults are on).
-    pub retry: RetryPolicy,
     /// Deterministic randomness.
     pub rng: SimRng,
     pub(crate) apps: Vec<Application>,
@@ -86,16 +84,10 @@ pub struct Middleware {
     host_clocks: FxHashMap<HostId, HostClock>,
     preinstalled: FxHashMap<(u32, String), ComponentSet>,
     pub(crate) in_flight: FxHashMap<AgentId, InFlight>,
-    /// Opt-in migration data-path optimizations (cache + delta).
-    pub(crate) data_path: DataPathOptions,
     /// Opt-in observability pipeline configuration.
     pub(crate) observability: ObservabilityOptions,
     /// SLO monitor, present iff [`ObservabilityOptions::slo`] was set.
     pub(crate) slo: Option<SloMonitor>,
-    /// Content-addressed state backing the data-path layer.
-    pub(crate) content: ContentState,
-    /// Exactly-once check-in ledger backing the exactly-once layer.
-    pub(crate) checkin_ledger: CheckinLedger,
     /// The onion chain of cross-cutting concerns around the migration
     /// lifecycle.
     pub(crate) layers: LayerStack,
@@ -156,7 +148,6 @@ pub struct MiddlewareBuilder {
     cost_model: CostModel,
     data_path: DataPathOptions,
     faults: FaultOptions,
-    retry: RetryPolicy,
     observability: ObservabilityOptions,
     base_layers: Option<Vec<Box<dyn MigrationLayer>>>,
     extra_layers: Vec<Box<dyn MigrationLayer>>,
@@ -183,7 +174,6 @@ impl MiddlewareBuilder {
             cost_model: CostModel::default(),
             data_path: DataPathOptions::default(),
             faults: FaultOptions::default(),
-            retry: RetryPolicy::default(),
             observability: ObservabilityOptions::default(),
             base_layers: None,
             extra_layers: Vec::new(),
@@ -287,8 +277,10 @@ impl MiddlewareBuilder {
         self
     }
 
-    /// Enables migration data-path optimizations (component cache,
-    /// delta snapshots). Off by default.
+    /// Enables the migration data-path optimizations (component cache,
+    /// delta snapshots): [`DataPathOptions::all`] appends a
+    /// [`DataPathLayer`] at the innermost position of the stack. Off by
+    /// default.
     pub fn data_path(&mut self, options: DataPathOptions) -> &mut Self {
         self.data_path = options;
         self
@@ -298,12 +290,6 @@ impl MiddlewareBuilder {
     /// default; when off, nothing in the migration path changes.
     pub fn faults(&mut self, options: FaultOptions) -> &mut Self {
         self.faults = options;
-        self
-    }
-
-    /// Overrides the migration retry/backoff policy.
-    pub fn retry_policy(&mut self, policy: RetryPolicy) -> &mut Self {
-        self.retry = policy;
         self
     }
 
@@ -317,17 +303,18 @@ impl MiddlewareBuilder {
     }
 
     /// Replaces the whole migration layer stack (outermost first). The
-    /// default is [`LayerStack::standard`] — the five built-in concerns
+    /// default is [`LayerStack::standard`] — the four built-in concerns
     /// in their byte-identical pre-refactor order. Passing an empty list
     /// runs the bare lifecycle skeleton: no spans, no watchdogs, no
-    /// elision, no duplicate guard, no SLO feeds.
+    /// duplicate guard, no SLO feeds (and no elision unless
+    /// [`Self::data_path`] adds it back).
     pub fn layers(&mut self, layers: Vec<Box<dyn MigrationLayer>>) -> &mut Self {
         self.base_layers = Some(layers);
         self
     }
 
     /// Appends one layer at the innermost position of the stack (after
-    /// the base layers — the standard five unless [`Self::layers`]
+    /// the base layers — the standard four unless [`Self::layers`]
     /// replaced them). The extension point for drop-in policy layers such
     /// as [`crate::AdmissionControlLayer`].
     pub fn layer(&mut self, layer: Box<dyn MigrationLayer>) -> &mut Self {
@@ -378,6 +365,11 @@ impl MiddlewareBuilder {
         let slo = self.observability.slo.map(|opts| opts.build_monitor());
         let mut stack = self.base_layers.unwrap_or_else(LayerStack::standard);
         stack.extend(self.extra_layers);
+        // The data path's hooks commute with the standard layers', so
+        // appending it innermost changes no outcome of theirs.
+        if self.data_path.enabled {
+            stack.push(Box::<DataPathLayer>::default());
+        }
         let world = Middleware {
             platform,
             env,
@@ -385,7 +377,6 @@ impl MiddlewareBuilder {
             federation,
             snapshots: SnapshotManager::new(8),
             cost_model: self.cost_model,
-            retry: self.retry,
             rng: SimRng::seed_from(self.seed),
             apps: Vec::new(),
             containers,
@@ -396,11 +387,8 @@ impl MiddlewareBuilder {
             host_clocks,
             preinstalled: FxHashMap::default(),
             in_flight: FxHashMap::default(),
-            data_path: self.data_path,
             observability: self.observability,
             slo,
-            content: ContentState::default(),
-            checkin_ledger: CheckinLedger::default(),
             layers: LayerStack::new(stack),
             migration_log: Vec::new(),
             rule_bases: FxHashMap::from_iter([(
@@ -573,11 +561,6 @@ impl Middleware {
         self.env.telemetry = telemetry;
     }
 
-    /// The observability configuration this world was built with.
-    pub fn observability(&self) -> &ObservabilityOptions {
-        &self.observability
-    }
-
     /// The SLO monitor, present iff SLO monitoring was enabled.
     pub fn slo_monitor(&self) -> Option<&SloMonitor> {
         self.slo.as_ref()
@@ -673,13 +656,8 @@ impl Middleware {
                 record = record.with_component(kind.tag());
             }
         }
-        if self.data_path.component_cache {
-            for component in components.iter() {
-                let digest = component.digest().as_u64();
-                record.set_digest(component.name().to_owned(), digest);
-                self.remember_content(host, digest, component);
-            }
-        }
+        self.layers.before_register(&mut record, &components);
+        self.layers.on_provision(host, &components);
         self.federation
             .add_center(space)
             .register_application(record);
@@ -823,38 +801,25 @@ impl Middleware {
     }
 
     fn register_app_record(world: &mut Middleware, id: AppId) -> Result<(), CoreError> {
-        let (name, host, tags, requirements) = {
-            let app = world.app(id)?;
-            (
-                app.name.clone(),
-                app.host,
-                app.component_tags(),
-                app.requirements.clone(),
-            )
-        };
-        let space = world.space_of(host)?;
-        let mut record = ApplicationRecord::new(&name, space, host);
-        for tag in tags {
+        // Split borrows: the layers read the live component set in place.
+        let Middleware {
+            apps,
+            env,
+            federation,
+            layers,
+            ..
+        } = &mut *world;
+        let app = apps.get(id.0 as usize).ok_or(CoreError::UnknownApp(id))?;
+        let space = env.topology.host(app.host)?.space();
+        let mut record = ApplicationRecord::new(&app.name, space, app.host);
+        for tag in app.component_tags() {
             record = record.with_component(tag);
         }
-        for (k, v) in requirements {
-            record = record.with_requirement(k, v);
+        for (k, v) in &app.requirements {
+            record = record.with_requirement(k.clone(), v.clone());
         }
-        if world.data_path.component_cache {
-            let digests: Vec<(String, u64)> = world
-                .app(id)?
-                .components
-                .iter()
-                .map(|c| (c.name().to_owned(), c.digest().as_u64()))
-                .collect();
-            for (name, digest) in digests {
-                record.set_digest(name, digest);
-            }
-        }
-        world
-            .federation
-            .add_center(space)
-            .register_application(record);
+        layers.before_register(&mut record, &app.components);
+        federation.add_center(space).register_application(record);
         Ok(())
     }
 

@@ -33,13 +33,6 @@ pub struct ObservabilityOptions {
     pub slo: Option<SloOptions>,
 }
 
-impl ObservabilityOptions {
-    /// Whether any part of the pipeline is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.sampler.is_some() || self.propagate_trace_ctx || self.slo.is_some()
-    }
-}
-
 /// Targets and windows for the middleware's three built-in objectives.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SloOptions {
@@ -124,7 +117,6 @@ mod tests {
     #[test]
     fn defaults_are_fully_off() {
         let opts = ObservabilityOptions::default();
-        assert!(!opts.is_enabled());
         assert!(opts.sampler.is_none() && opts.slo.is_none());
         assert!(!opts.propagate_trace_ctx);
     }

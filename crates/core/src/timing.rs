@@ -81,44 +81,6 @@ fn per_mb(rate: SimDuration, bytes: u64) -> SimDuration {
     SimDuration::from_secs_f64(rate.as_secs_f64() * bytes as f64 / 1_000_000.0)
 }
 
-/// Retry/backoff policy of the migration watchdog. Attempts are 1-based:
-/// the initial transfer is attempt 1, so `max_attempts = 3` allows two
-/// retries before the migration is rolled back at the source.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total transfer attempts (initial + retries) before rollback.
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles on each further retry.
-    pub backoff_base: SimDuration,
-    /// Upper bound on any single backoff interval.
-    pub backoff_cap: SimDuration,
-    /// Slack added to the estimated transfer time before an attempt is
-    /// declared timed out.
-    pub timeout_margin: SimDuration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            backoff_base: SimDuration::from_millis(200),
-            backoff_cap: SimDuration::from_secs(5),
-            timeout_margin: SimDuration::from_millis(500),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (1-based): `base · 2^(retry−1)`,
-    /// capped at [`RetryPolicy::backoff_cap`].
-    pub fn backoff(&self, retry: u32) -> SimDuration {
-        let exp = retry.saturating_sub(1).min(16);
-        let scaled =
-            SimDuration::from_secs_f64(self.backoff_base.as_secs_f64() * (1u64 << exp) as f64);
-        scaled.min(self.backoff_cap)
-    }
-}
-
 /// A host clock with constant skew against simulated true time — the
 /// premise of the paper's Fig. 7: "the difference of time values of clocks
 /// at the same time is nearly a constant value".

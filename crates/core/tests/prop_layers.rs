@@ -2,7 +2,7 @@
 //! outermost-first, exit hooks in reverse, a `wrap_transfer`
 //! short-circuit unwinds the entered outer layers' `on_abort` exactly
 //! once each, and the empty stack drives migrations to the same
-//! outcomes as the standard five-layer stack in fault-free runs (the
+//! outcomes as the standard four-layer stack in fault-free runs (the
 //! cross-cutting concerns observe the lifecycle; they do not steer it).
 
 use std::cell::RefCell;
@@ -41,7 +41,7 @@ impl MigrationLayer for Recorder {
     }
 
     fn before_wrap(
-        &self,
+        &mut self,
         _world: &mut Middleware,
         _sim: &mut Simulator<Middleware>,
         _draft: &mut CargoDraft,
@@ -50,7 +50,7 @@ impl MigrationLayer for Recorder {
     }
 
     fn before_depart(
-        &self,
+        &mut self,
         _world: &mut Middleware,
         _sim: &mut Simulator<Middleware>,
         _setup: &mut FlightSetup,
@@ -59,7 +59,7 @@ impl MigrationLayer for Recorder {
     }
 
     fn after_suspend(
-        &self,
+        &mut self,
         _world: &mut Middleware,
         _sim: &mut Simulator<Middleware>,
         _ma: &AgentId,
@@ -68,7 +68,7 @@ impl MigrationLayer for Recorder {
     }
 
     fn before_transfer(
-        &self,
+        &mut self,
         _world: &mut Middleware,
         _sim: &mut Simulator<Middleware>,
         _ma: &AgentId,
@@ -78,7 +78,7 @@ impl MigrationLayer for Recorder {
     }
 
     fn wrap_transfer(
-        &self,
+        &mut self,
         _world: &mut Middleware,
         _sim: &mut Simulator<Middleware>,
         _ma: &AgentId,
@@ -93,7 +93,7 @@ impl MigrationLayer for Recorder {
     }
 
     fn wrap_checkin(
-        &self,
+        &mut self,
         _world: &mut Middleware,
         _sim: &mut Simulator<Middleware>,
         _ma: &AgentId,
@@ -105,7 +105,7 @@ impl MigrationLayer for Recorder {
     }
 
     fn before_checkin(
-        &self,
+        &mut self,
         _world: &mut Middleware,
         _sim: &mut Simulator<Middleware>,
         _cargo: &Cargo,
@@ -116,7 +116,7 @@ impl MigrationLayer for Recorder {
     }
 
     fn after_checkin(
-        &self,
+        &mut self,
         _world: &mut Middleware,
         _sim: &mut Simulator<Middleware>,
         _cargo: &Cargo,
@@ -127,7 +127,7 @@ impl MigrationLayer for Recorder {
     }
 
     fn before_resume(
-        &self,
+        &mut self,
         _world: &mut Middleware,
         _sim: &mut Simulator<Middleware>,
         _outcome: &ResumeOutcome,
@@ -136,7 +136,7 @@ impl MigrationLayer for Recorder {
     }
 
     fn after_resume(
-        &self,
+        &mut self,
         _world: &mut Middleware,
         _sim: &mut Simulator<Middleware>,
         _outcome: &ResumeOutcome,
@@ -145,7 +145,7 @@ impl MigrationLayer for Recorder {
     }
 
     fn on_abort(
-        &self,
+        &mut self,
         _world: &mut Middleware,
         _sim: &mut Simulator<Middleware>,
         _ma: &AgentId,
@@ -326,7 +326,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The empty stack is the bare skeleton, and the skeleton alone
-    /// decides migration outcomes: under the standard five layers and
+    /// decides migration outcomes: under the standard four layers and
     /// under no layers at all, fault-free runs produce identical
     /// migration reports (phases, bytes, completion instants) and leave
     /// the application in the same place.

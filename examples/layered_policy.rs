@@ -1,10 +1,10 @@
 //! Composing the migration middleware from an explicit layer list, then
 //! dropping in a custom policy layer.
 //!
-//! The five standard concerns — telemetry, fault retry, data path,
-//! exactly-once, SLO — are ordinary [`MigrationLayer`]s; the builder
-//! accepts the list explicitly, and extra policy layers slot in behind
-//! them. Here an [`AdmissionControlLayer`] caps the lab at one inbound
+//! The four standard concerns — telemetry, fault retry, exactly-once,
+//! SLO — are ordinary [`MigrationLayer`]s, and so is the optional data
+//! path the builder's `data_path` switch appends; the builder accepts
+//! the list explicitly, and extra policy layers slot in behind them. Here an [`AdmissionControlLayer`] caps the lab at one inbound
 //! migration: three offices dispatch at once, one transfer is admitted,
 //! and the other two are refused at the wire and roll back to Running at
 //! their sources.
@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         b.gateway(*src, lab_pc)?;
     }
-    // The full middleware, spelled out: the standard five concerns in
+    // The full middleware, spelled out: the standard four concerns in
     // their canonical order, plus one drop-in policy layer at the
     // innermost position.
     b.layers(LayerStack::standard());
