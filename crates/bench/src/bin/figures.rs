@@ -3,25 +3,25 @@
 //! ```text
 //! cargo run -p mdagent-bench --bin figures                    # everything
 //! cargo run -p mdagent-bench --bin figures -- fig8            # one figure
-//! cargo run -p mdagent-bench --bin figures -- trace follow-me # span export
+//! cargo run -p mdagent-bench --bin figures -- trace follow-me # span export (repeatable)
 //! cargo run -p mdagent-bench --bin figures -- report          # OBS_report.json
 //! ```
 //!
-//! An unknown argument exits with status 2 before anything runs; a failed
-//! artifact write exits with status 1.
+//! An unknown argument or trace scenario exits with status 2 before
+//! anything runs; a failed artifact write exits with status 1.
 
 use std::process::ExitCode;
 
 use mdagent_bench::{
     ablation_clone_dispatch, ablation_matching, ablation_prestaging, ablation_reasoning,
-    bench_faults_json, bench_migration_json, bench_observability_json, bench_reasoning_json,
-    bench_scale_json, fig10_comparative, fig8_adaptive, fig9_static, obs_report_json,
-    trace_scenario, TRACE_SCENARIOS,
+    bench_faults_json, bench_migration_json, bench_reasoning_json, bench_scale_json,
+    fig10_comparative, fig8_adaptive, fig9_static, obs_report_json, trace_scenario,
+    TRACE_SCENARIOS,
 };
 
 /// Arguments that pick what to run. `trace` takes the scenario name that
-/// follows it.
-const SELECTORS: [&str; 11] = [
+/// follows it, and may be given once per scenario.
+const SELECTORS: [&str; 10] = [
     "fig8",
     "fig9",
     "fig10",
@@ -32,7 +32,6 @@ const SELECTORS: [&str; 11] = [
     "bench-migration",
     "bench-faults",
     "bench-scale",
-    "bench-observability",
 ];
 
 /// Modifiers, not selectors: `--with-naive` lifts the naive reference
@@ -44,49 +43,48 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let with_naive = args.iter().any(|f| f == "--with-naive");
     let smoke = args.iter().any(|f| f == "--smoke");
-    let filter: Vec<&str> = args
+    // `trace <scenario>` pairs come out of the filter; the rest are
+    // selectors.
+    let (mut traces, mut filter) = (Vec::new(), Vec::new());
+    let mut words = args
         .iter()
         .map(String::as_str)
-        .filter(|f| !FLAGS.contains(f))
-        .collect();
-    let unknown = filter.iter().enumerate().find(|&(i, f)| {
-        let is_scenario = i > 0 && filter[i - 1] == "trace";
-        !SELECTORS.contains(f) && !is_scenario
-    });
-    if let Some((_, bad)) = unknown {
+        .filter(|f| !FLAGS.contains(f));
+    while let Some(word) = words.next() {
+        match word {
+            "trace" => traces.push(words.next().unwrap_or("follow-me")),
+            _ => filter.push(word),
+        }
+    }
+    if let Some(bad) = filter.iter().find(|f| !SELECTORS.contains(f)) {
         eprintln!("unknown argument {bad:?}; selectors: {SELECTORS:?}; flags: {FLAGS:?}");
+        return ExitCode::from(2);
+    }
+    if let Some(bad) = traces.iter().find(|s| !TRACE_SCENARIOS.contains(s)) {
+        eprintln!("unknown trace scenario {bad:?}; known: {TRACE_SCENARIOS:?}");
         return ExitCode::from(2);
     }
     let want = |key: &str| filter.is_empty() || filter.contains(&key);
 
     // Scenario trace export: writes TRACE_<scenario>.jsonl plus a Chrome
     // trace-event document loadable in Perfetto / chrome://tracing.
-    if let Some(pos) = filter.iter().position(|f| *f == "trace") {
-        let scenario = filter.get(pos + 1).copied().unwrap_or("follow-me");
-        let Some(artifacts) = trace_scenario(scenario) else {
-            eprintln!("unknown trace scenario {scenario:?}; known: {TRACE_SCENARIOS:?}");
-            return ExitCode::from(2);
-        };
-        let jsonl_path = format!("TRACE_{scenario}.jsonl");
-        let chrome_path = format!("TRACE_{scenario}.chrome.json");
-        for (path, body) in [
-            (&jsonl_path, &artifacts.jsonl),
-            (&chrome_path, &artifacts.chrome),
-        ] {
-            if !write_artifact(path, body) {
-                return ExitCode::FAILURE;
-            }
-        }
+    let mut written = true;
+    for artifacts in traces.iter().filter_map(|s| trace_scenario(s)) {
+        let scenario = &artifacts.scenario;
+        written &= write_artifact(&format!("TRACE_{scenario}.jsonl"), &artifacts.jsonl);
+        written &= write_artifact(&format!("TRACE_{scenario}.chrome.json"), &artifacts.chrome);
         println!("{}", artifacts.summary);
-        return ExitCode::SUCCESS;
+    }
+    if !traces.is_empty() && filter.is_empty() {
+        return exit_code(written);
     }
 
     // JSON artifacts, each behind its own selector. The wall-clock ones
-    // (`bench-reasoning`, `bench-scale`, `bench-observability`) are
-    // explicit opt-in only: the naive reasoning reference runs only at the
-    // small sizes unless --with-naive is passed (chain-512 alone adds
-    // ~400 s), and `--smoke` gives the fast CI slice of the churn runs.
-    let artifacts: [(&str, &str, &dyn Fn() -> String); 6] = [
+    // (`bench-reasoning`, `bench-scale`) are explicit opt-in only: the
+    // naive reasoning reference runs only at the small sizes unless
+    // --with-naive is passed (chain-512 alone adds ~400 s), and `--smoke`
+    // gives the fast CI slice of the churn runs.
+    let artifacts: [(&str, &str, &dyn Fn() -> String); 5] = [
         ("bench-reasoning", "BENCH_reasoning.json", &|| {
             bench_reasoning_json(with_naive)
         }),
@@ -107,14 +105,7 @@ fn main() -> ExitCode {
         ("bench-scale", "BENCH_scale.json", &|| {
             bench_scale_json(smoke)
         }),
-        // Telemetry overhead guardrail.
-        (
-            "bench-observability",
-            "BENCH_observability.json",
-            &bench_observability_json,
-        ),
     ];
-    let mut written = true;
     for (selector, path, json) in artifacts {
         if !filter.contains(&selector) {
             continue;

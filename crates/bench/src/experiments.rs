@@ -5,6 +5,7 @@ use mdagent_core::{
     AppState, BindingPolicy, Component, ComponentKind, DeviceProfile, Middleware, MigrationReport,
     MobilityMode, UserProfile,
 };
+use mdagent_json::Value;
 use mdagent_simnet::{CpuFactor, SimDuration, SimTime};
 
 use crate::table::Figure;
@@ -30,21 +31,6 @@ pub struct FollowMeResult {
 ///
 /// Panics on scenario construction failures (the topology is static).
 pub fn run_follow_me(policy: BindingPolicy, file_bytes: usize) -> FollowMeResult {
-    run_follow_me_observed(policy, file_bytes, true).0
-}
-
-/// [`run_follow_me`] with span collection optionally disabled (the
-/// observability overhead guardrail runs both modes). Returns the result
-/// plus the number of telemetry spans recorded — zero when disabled.
-///
-/// # Panics
-///
-/// Panics on scenario construction failures (the topology is static).
-pub fn run_follow_me_observed(
-    policy: BindingPolicy,
-    file_bytes: usize,
-    telemetry: bool,
-) -> (FollowMeResult, usize) {
     let mut b = Middleware::builder();
     let room_a = b.space("room-a");
     let room_b = b.space("room-b");
@@ -55,9 +41,6 @@ pub fn run_follow_me_observed(
         .expect("link");
     b.seed(1);
     let (mut world, mut sim) = b.build();
-    if !telemetry {
-        world.set_telemetry(mdagent_simnet::Telemetry::disabled());
-    }
 
     let app = Middleware::deploy_app(
         &mut world,
@@ -111,86 +94,7 @@ pub fn run_follow_me_observed(
         .last()
         .expect("one migration recorded")
         .clone();
-    let spans = world.telemetry().spans().len();
-    (FollowMeResult { report }, spans)
-}
-
-/// [`run_follow_me`] with the tail-based sampler enabled — the third leg
-/// of the observability overhead guardrail. Returns the result plus the
-/// sampler's accounting counters.
-///
-/// # Panics
-///
-/// Panics on scenario construction failures (the topology is static).
-pub fn run_follow_me_sampled(
-    policy: BindingPolicy,
-    file_bytes: usize,
-    sampler: mdagent_core::SamplerOptions,
-) -> (FollowMeResult, mdagent_core::SamplerStats) {
-    let mut b = Middleware::builder();
-    let room_a = b.space("room-a");
-    let room_b = b.space("room-b");
-    let p4 = b.host("p4-1.7ghz", room_a, CpuFactor::REFERENCE, DeviceProfile::pc);
-    let pm = b.host("pm-1.6ghz", room_b, CpuFactor::new(0.94), DeviceProfile::pc);
-    b.link(p4, pm, SimDuration::from_millis(1), 10_000_000, 0.8, true)
-        .expect("link");
-    b.seed(1);
-    b.observability(mdagent_core::ObservabilityOptions {
-        sampler: Some(sampler),
-        ..Default::default()
-    });
-    let (mut world, mut sim) = b.build();
-
-    let app = Middleware::deploy_app(
-        &mut world,
-        &mut sim,
-        "smart-media-player",
-        p4,
-        [
-            Component::synthetic("codec", ComponentKind::Logic, 180_000),
-            Component::synthetic("player-ui", ComponentKind::Presentation, 60_000),
-            Component::synthetic("music-file", ComponentKind::Data, file_bytes),
-        ]
-        .into_iter()
-        .collect(),
-        UserProfile::new(UserId(0)),
-    )
-    .expect("deploy");
-    world
-        .provision(
-            pm,
-            "smart-media-player",
-            [Component::synthetic(
-                "player-ui",
-                ComponentKind::Presentation,
-                60_000,
-            )]
-            .into_iter()
-            .collect(),
-        )
-        .expect("provision");
-    sim.run(&mut world);
-    Middleware::migrate_now(
-        &mut world,
-        &mut sim,
-        app,
-        pm,
-        MobilityMode::FollowMe,
-        policy,
-    )
-    .expect("migrate");
-    sim.run(&mut world);
-
-    let report = world
-        .migration_log()
-        .last()
-        .expect("one migration recorded")
-        .clone();
-    let stats = world
-        .telemetry()
-        .sampler_stats()
-        .expect("sampled collector");
-    (FollowMeResult { report }, stats)
+    FollowMeResult { report }
 }
 
 fn size_label(mb: f64) -> String {
@@ -821,54 +725,45 @@ pub fn bench_reasoning_rows(with_naive: bool) -> Vec<ReasoningBenchRow> {
     rows
 }
 
-fn json_opt_ms(v: Option<f64>) -> String {
-    match v {
-        Some(ms) => format!("{ms:.3}"),
-        None => "null".into(),
-    }
-}
-
 /// Renders [`bench_reasoning_rows`] as the machine-readable
 /// `BENCH_reasoning.json` document (schema v2: adds the retraction
 /// columns; `with_naive` lifts the naive reference's size gate).
 pub fn bench_reasoning_json(with_naive: bool) -> String {
-    let rows = bench_reasoning_rows(with_naive);
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"mdagent-bench/reasoning/v2\",\n");
-    out.push_str(
-        "  \"command\": \"cargo run --release -p mdagent-bench --bin figures -- bench-reasoning\",\n",
-    );
-    out.push_str(
-        "  \"note\": \"wall-clock ms; naive_ms null = reference engine not run at this size \
-         (pass --with-naive to lift the gate); incremental_ms = materialize_incremental of a \
-         single fact against the closed base; retract_single_ms / retract_batch_ms = DRed \
-         retraction of 1 / 8 base facts against the closed base\",\n",
-    );
-    out.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let speedup = r
-            .naive_ms
-            .map(|n| format!("{:.2}", n / r.seminaive_ms))
-            .unwrap_or_else(|| "null".into());
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"base_triples\": {}, \"closure_triples\": {}, \
-             \"seminaive_ms\": {:.3}, \"naive_ms\": {}, \"naive_over_seminaive\": {}, \
-             \"incremental_ms\": {}, \"retract_single_ms\": {}, \"retract_batch_ms\": {}}}{}\n",
-            r.workload,
-            r.base_triples,
-            r.closure_triples,
-            r.seminaive_ms,
-            json_opt_ms(r.naive_ms),
-            speedup,
-            json_opt_ms(r.incremental_ms),
-            json_opt_ms(r.retract_single_ms),
-            json_opt_ms(r.retract_batch_ms),
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let ms = |v: Option<f64>| v.map_or(Value::Null, |ms| Value::fixed(ms, 3));
+    let workloads = bench_reasoning_rows(with_naive).into_iter().map(|r| {
+        Value::object([
+            ("workload", r.workload.into()),
+            ("base_triples", r.base_triples.into()),
+            ("closure_triples", r.closure_triples.into()),
+            ("seminaive_ms", Value::fixed(r.seminaive_ms, 3)),
+            ("naive_ms", ms(r.naive_ms)),
+            (
+                "naive_over_seminaive",
+                r.naive_ms
+                    .map_or(Value::Null, |n| Value::fixed(n / r.seminaive_ms, 2)),
+            ),
+            ("incremental_ms", ms(r.incremental_ms)),
+            ("retract_single_ms", ms(r.retract_single_ms)),
+            ("retract_batch_ms", ms(r.retract_batch_ms)),
+        ])
+    });
+    Value::object([
+        ("schema", "mdagent-bench/reasoning/v2".into()),
+        (
+            "command",
+            "cargo run --release -p mdagent-bench --bin figures -- bench-reasoning".into(),
+        ),
+        (
+            "note",
+            "wall-clock ms; naive_ms null = reference engine not run at this size \
+             (pass --with-naive to lift the gate); incremental_ms = materialize_incremental of a \
+             single fact against the closed base; retract_single_ms / retract_batch_ms = DRed \
+             retraction of 1 / 8 base facts against the closed base"
+                .into(),
+        ),
+        ("workloads", Value::array(workloads)),
+    ])
+    .pretty()
 }
 
 #[cfg(test)]

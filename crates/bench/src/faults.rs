@@ -8,6 +8,7 @@ use mdagent_core::{
     BindingPolicy, Component, ComponentKind, ComponentSet, DeviceProfile, FaultOptions, Middleware,
     MobilityMode, UserProfile,
 };
+use mdagent_json::Value;
 use mdagent_simnet::{CpuFactor, HostId, Simulator};
 
 /// Drop probabilities swept, including the fault-free control point.
@@ -151,42 +152,44 @@ pub fn bench_faults() -> FaultBench {
 /// Renders [`bench_faults`] as the machine-readable `BENCH_faults.json`
 /// document.
 pub fn bench_faults_json() -> String {
-    let bench = bench_faults();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"mdagent-bench/faults/v1\",\n");
-    out.push_str(
-        "  \"command\": \"cargo run --release -p mdagent-bench --bin figures -- bench-faults\",\n",
-    );
-    out.push_str(&format!(
-        "  \"note\": \"{} follow-me migrations per point over the 2-hop LAN+gateway path; \
-         per-link drops with bounded-backoff retries (3 attempts) and rollback on exhaustion; \
-         latencies are simulated ms\",\n",
-        FAULT_RUNS,
-    ));
-    out.push_str(&format!("  \"runs_per_point\": {},\n", FAULT_RUNS));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in bench.points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"drop_probability\": {:.2}, \"attempted\": {}, \"completed\": {}, \
-             \"rolled_back\": {}, \"completion_rate\": {:.4}, \"retries\": {}, \
-             \"transfer_drops\": {}, \"rollback_latency_mean_ms\": {:.3}, \
-             \"rollback_latency_max_ms\": {:.3}}}{}\n",
-            p.drop_probability,
-            p.attempted,
-            p.completed,
-            p.rolled_back,
-            p.completion_rate,
-            p.retries,
-            p.transfer_drops,
-            p.rollback_latency_mean_ms,
-            p.rollback_latency_max_ms,
-            if i + 1 == bench.points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    let points = bench_faults().points.into_iter().map(|p| {
+        Value::object([
+            ("drop_probability", Value::fixed(p.drop_probability, 2)),
+            ("attempted", p.attempted.into()),
+            ("completed", p.completed.into()),
+            ("rolled_back", p.rolled_back.into()),
+            ("completion_rate", Value::fixed(p.completion_rate, 4)),
+            ("retries", p.retries.into()),
+            ("transfer_drops", p.transfer_drops.into()),
+            (
+                "rollback_latency_mean_ms",
+                Value::fixed(p.rollback_latency_mean_ms, 3),
+            ),
+            (
+                "rollback_latency_max_ms",
+                Value::fixed(p.rollback_latency_max_ms, 3),
+            ),
+        ])
+    });
+    Value::object([
+        ("schema", "mdagent-bench/faults/v1".into()),
+        (
+            "command",
+            "cargo run --release -p mdagent-bench --bin figures -- bench-faults".into(),
+        ),
+        (
+            "note",
+            format!(
+                "{FAULT_RUNS} follow-me migrations per point over the 2-hop LAN+gateway path; \
+                 per-link drops with bounded-backoff retries (3 attempts) and rollback on \
+                 exhaustion; latencies are simulated ms"
+            )
+            .into(),
+        ),
+        ("runs_per_point", FAULT_RUNS.into()),
+        ("points", Value::array(points)),
+    ])
+    .pretty()
 }
 
 #[cfg(test)]
@@ -224,6 +227,35 @@ mod tests {
         assert_eq!(a.retries, b.retries);
         assert_eq!(a.transfer_drops, b.transfer_drops);
         assert_eq!(a.rollback_latency_max_ms, b.rollback_latency_max_ms);
+    }
+
+    /// The `BENCH_faults.json` document: its schema and sweep, and exact
+    /// accounting at every point.
+    #[test]
+    fn artifact_accounts_for_every_attempt() {
+        let doc = mdagent_json::parse(&bench_faults_json()).expect("the artifact parses");
+        assert_eq!(doc["schema"].as_str(), Some("mdagent-bench/faults/v1"));
+        let points = doc["points"].as_arr().expect("points");
+        let sweep: Vec<_> = points
+            .iter()
+            .map(|p| p["drop_probability"].as_f64())
+            .collect();
+        assert_eq!(sweep, FAULT_SWEEP.map(Some));
+        let n = |p: &Value, key: &str| p[key].as_u64().unwrap_or_else(|| panic!("{key} count"));
+        for p in points {
+            // Exactly-once or rollback: every attempt is accounted for.
+            assert_eq!(
+                n(p, "completed") + n(p, "rolled_back"),
+                n(p, "attempted"),
+                "{p:?}"
+            );
+        }
+        let clean = &points[0];
+        assert_eq!(clean["completion_rate"].as_f64(), Some(1.0));
+        for key in ["retries", "transfer_drops", "rolled_back"] {
+            assert_eq!(n(clean, key), 0, "clean point {key}");
+        }
+        assert!(n(&points[points.len() - 1], "transfer_drops") > 0);
     }
 
     #[test]

@@ -22,8 +22,8 @@ pub mod table;
 pub use experiments::{
     ablation_clone_dispatch, ablation_matching, ablation_prestaging, ablation_reasoning,
     bench_reasoning_json, bench_reasoning_rows, fig10_comparative, fig8_adaptive, fig9_static,
-    run_clone_fanout, run_follow_me, run_follow_me_observed, run_follow_me_sampled, FollowMeResult,
-    ReasoningBenchRow, NAIVE_GATE_BASE_TRIPLES, PAPER_FILE_SIZES_MB, RETRACT_BATCH_SIZE,
+    run_clone_fanout, run_follow_me, FollowMeResult, ReasoningBenchRow, NAIVE_GATE_BASE_TRIPLES,
+    PAPER_FILE_SIZES_MB, RETRACT_BATCH_SIZE,
 };
 pub use faults::{
     bench_faults, bench_faults_json, run_fault_point, FaultBench, FaultPoint, FAULT_RUNS,
@@ -33,10 +33,7 @@ pub use migration::{
     bench_migration, bench_migration_json, compare_pipeline, run_shuttle, MigrationBench,
     PipelineComparison, ShuttleRun, SHUTTLE_FILE_BYTES, SHUTTLE_TRIPS,
 };
-pub use observe::{
-    bench_observability, bench_observability_json, trace_scenario, ObservabilityBench,
-    TraceArtifacts, TRACE_SCENARIOS,
-};
+pub use observe::{export_chrome, export_jsonl, trace_scenario, TraceArtifacts, TRACE_SCENARIOS};
 pub use report::{obs_report_json, CHURN_MIGRATIONS};
 pub use scale::{
     bench_scale_json, compare_queues, run_churn, ChurnRun, CityWorld, QueueMode, QUEUE_AGENTS,

@@ -8,6 +8,7 @@ use mdagent_core::{
     AppState, BindingPolicy, Component, ComponentKind, DataPathOptions, DeviceProfile, Middleware,
     MobilityMode, UserProfile,
 };
+use mdagent_json::Value;
 use mdagent_simnet::{CpuFactor, SimDuration, Topology, DEFAULT_CHUNK_BYTES};
 
 /// Round trips of the shuttle scenario (app migrates back and forth, so
@@ -232,52 +233,58 @@ pub fn bench_migration() -> MigrationBench {
 /// `BENCH_migration.json` document.
 pub fn bench_migration_json() -> String {
     let bench = bench_migration();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"mdagent-bench/migration/v1\",\n");
-    out.push_str(
-        "  \"command\": \"cargo run --release -p mdagent-bench --bin figures -- bench-migration\",\n",
-    );
-    out.push_str(&format!(
-        "  \"note\": \"Fig. 8 testbed shuttled {} trips at {:.1} MB; bytes are the mobile \
-         agent's wire payload; the pipeline section transfers the same file over a two-hop \
-         LAN+gateway path\",\n",
-        SHUTTLE_TRIPS,
-        SHUTTLE_FILE_BYTES as f64 / 1e6,
-    ));
-    out.push_str(&format!("  \"trips\": {},\n", SHUTTLE_TRIPS));
-    out.push_str(&format!("  \"file_bytes\": {},\n", SHUTTLE_FILE_BYTES));
-    out.push_str("  \"configurations\": [\n");
-    for (i, r) in bench.runs.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"trips\": {}, \"total_shipped_bytes\": {}, \
-             \"total_ms\": {:.3}, \"bytes_saved_cache\": {}, \"bytes_saved_delta\": {}, \
-             \"cache_hits\": {}, \"cache_misses\": {}}}{}\n",
-            r.label,
-            r.trips,
-            r.total_shipped_bytes,
-            r.total_ms,
-            r.bytes_saved_cache,
-            r.bytes_saved_delta,
-            r.cache_hits,
-            r.cache_misses,
-            if i + 1 == bench.runs.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ],\n");
+    let configurations = bench.runs.iter().map(|r| {
+        Value::object([
+            ("label", r.label.as_str().into()),
+            ("trips", r.trips.into()),
+            ("total_shipped_bytes", r.total_shipped_bytes.into()),
+            ("total_ms", Value::fixed(r.total_ms, 3)),
+            ("bytes_saved_cache", r.bytes_saved_cache.into()),
+            ("bytes_saved_delta", r.bytes_saved_delta.into()),
+            ("cache_hits", r.cache_hits.into()),
+            ("cache_misses", r.cache_misses.into()),
+        ])
+    });
     let p = &bench.pipeline;
-    out.push_str(&format!(
-        "  \"pipeline\": {{\"hops\": {}, \"bytes\": {}, \"store_and_forward_ms\": {:.3}, \
-         \"pipelined_ms\": {:.3}, \"speedup\": {:.3}, \"bottleneck_utilization\": {:.3}}}\n",
-        p.hops,
-        p.bytes,
-        p.store_and_forward_ms,
-        p.pipelined_ms,
-        p.store_and_forward_ms / p.pipelined_ms,
-        p.bottleneck_utilization,
-    ));
-    out.push_str("}\n");
-    out
+    let pipeline = Value::object([
+        ("hops", p.hops.into()),
+        ("bytes", p.bytes.into()),
+        (
+            "store_and_forward_ms",
+            Value::fixed(p.store_and_forward_ms, 3),
+        ),
+        ("pipelined_ms", Value::fixed(p.pipelined_ms, 3)),
+        (
+            "speedup",
+            Value::fixed(p.store_and_forward_ms / p.pipelined_ms, 3),
+        ),
+        (
+            "bottleneck_utilization",
+            Value::fixed(p.bottleneck_utilization, 3),
+        ),
+    ]);
+    Value::object([
+        ("schema", "mdagent-bench/migration/v1".into()),
+        (
+            "command",
+            "cargo run --release -p mdagent-bench --bin figures -- bench-migration".into(),
+        ),
+        (
+            "note",
+            format!(
+                "Fig. 8 testbed shuttled {SHUTTLE_TRIPS} trips at {:.1} MB; bytes are the \
+                 mobile agent's wire payload; the pipeline section transfers the same file \
+                 over a two-hop LAN+gateway path",
+                SHUTTLE_FILE_BYTES as f64 / 1e6,
+            )
+            .into(),
+        ),
+        ("trips", SHUTTLE_TRIPS.into()),
+        ("file_bytes", SHUTTLE_FILE_BYTES.into()),
+        ("configurations", Value::array(configurations)),
+        ("pipeline", pipeline),
+    ])
+    .pretty()
 }
 
 #[cfg(test)]
@@ -308,12 +315,40 @@ mod tests {
         assert!(optimized.total_ms <= adaptive.total_ms);
     }
 
+    /// The `BENCH_migration.json` document: its schema, and the claims it
+    /// exists to show — static binding ships the most, each mechanism
+    /// after it ships less, and pipelining wins on a multi-hop path.
     #[test]
     fn static_binding_ships_the_most() {
-        let bench = bench_migration();
-        let bytes: Vec<u64> = bench.runs.iter().map(|r| r.total_shipped_bytes).collect();
-        assert!(bytes[0] > bytes[1], "static must exceed adaptive");
-        assert!(bytes[1] > bytes[2], "adaptive must exceed cache+delta");
+        let doc = mdagent_json::parse(&bench_migration_json()).expect("the artifact parses");
+        assert_eq!(doc["schema"].as_str(), Some("mdagent-bench/migration/v1"));
+        let configs = doc["configurations"].as_arr().expect("configurations");
+        let labels: Vec<_> = configs.iter().map(|c| c["label"].as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                Some("static"),
+                Some("adaptive"),
+                Some("adaptive+cache+delta")
+            ]
+        );
+        let n = |v: &Value| v.as_f64().unwrap_or_else(|| panic!("{v:?} is a number"));
+        for c in configs {
+            assert_eq!(c["trips"], doc["trips"], "{c:?}");
+        }
+        let shipped: Vec<f64> = configs
+            .iter()
+            .map(|c| n(&c["total_shipped_bytes"]))
+            .collect();
+        assert!(
+            shipped[0] > shipped[1] && shipped[1] > shipped[2],
+            "static > adaptive > cache+delta: {shipped:?}"
+        );
+        assert!(n(&configs[2]["bytes_saved_cache"]) > 0.0);
+        assert!(n(&configs[2]["bytes_saved_delta"]) > 0.0);
+        let pipe = &doc["pipeline"];
+        assert!(n(&pipe["hops"]) >= 2.0);
+        assert!(n(&pipe["pipelined_ms"]) < n(&pipe["store_and_forward_ms"]));
     }
 
     #[test]

@@ -1,15 +1,17 @@
-//! Observability artifacts: end-to-end scenario traces (JSONL + Chrome
-//! trace-event JSON for Perfetto/`chrome://tracing`) and the telemetry
-//! overhead guardrail behind `BENCH_observability.json`.
+//! Observability artifacts: end-to-end scenario traces, exported as JSONL
+//! and as Chrome trace-event JSON for Perfetto / `chrome://tracing`.
+//!
+//! The exporters read a finished run through `Telemetry`'s public span
+//! API and write through `mdagent-json`; the simulation crates keep no
+//! export format.
 
 use mdagent_context::{BadgeId, ContextData, UserId};
 use mdagent_core::{
     AutonomousAgent, BindingPolicy, Component, ComponentKind, DeviceProfile, Middleware,
-    ObservabilityOptions, SamplerOptions, UserProfile,
+    ObservabilityOptions, UserProfile,
 };
-use mdagent_simnet::{CpuFactor, SimDuration, SimTime, Telemetry};
-
-use crate::experiments::{run_follow_me_observed, run_follow_me_sampled};
+use mdagent_json::Value;
+use mdagent_simnet::{AttrValue, CpuFactor, SimDuration, SimTime, SpanId, Telemetry, Trace};
 
 /// Scenario names accepted by [`trace_scenario`].
 pub const TRACE_SCENARIOS: [&str; 2] = ["follow-me", "clone"];
@@ -51,8 +53,8 @@ pub fn trace_scenario(name: &str) -> Option<TraceArtifacts> {
     );
     Some(TraceArtifacts {
         scenario: name.to_owned(),
-        jsonl: tel.export_jsonl(world.trace()),
-        chrome: tel.export_chrome(world.trace()),
+        jsonl: export_jsonl(tel, world.trace()),
+        chrome: export_chrome(tel, world.trace()),
         summary,
     })
 }
@@ -167,168 +169,119 @@ pub(crate) fn clone_world(obs: ObservabilityOptions) -> Middleware {
     world
 }
 
-/// Telemetry overhead on the Fig. 8 sweep, enabled vs.
-/// [`Telemetry::disabled`], plus the per-operation cost of disabled-mode
-/// instrumentation calls.
-#[derive(Debug, Clone)]
-pub struct ObservabilityBench {
-    /// Best steady-state wall-clock of a Fig. 8 run with spans collected.
-    pub enabled_ms: f64,
-    /// Best steady-state wall-clock of the same run with a disabled
-    /// collector.
-    pub disabled_ms: f64,
-    /// Best steady-state wall-clock with the tail-based sampler at a 10%
-    /// keep rate (buffering plus finalize cost on top of collection).
-    pub sampled_ms: f64,
-    /// Spans recorded across the sweep with telemetry enabled.
-    pub spans_enabled: usize,
-    /// Spans recorded with telemetry disabled (must be zero).
-    pub spans_disabled: usize,
-    /// Spans the sampled run exported (kept after tail-drop).
-    pub spans_sampled_kept: u64,
-    /// Spans the sampled run dropped — kept + dropped must equal the
-    /// enabled-mode span count (exact accounting, no silent loss).
-    pub spans_sampled_dropped: u64,
-    /// Mean nanoseconds per disabled-mode `start`/`attr`/`end` call.
-    pub disabled_ns_per_op: f64,
-}
-
-impl ObservabilityBench {
-    /// Enabled-over-disabled wall-clock overhead in percent (noisy on a
-    /// shared machine; informational, not asserted).
-    pub fn overhead_percent(&self) -> f64 {
-        if self.disabled_ms <= 0.0 {
-            return 0.0;
-        }
-        (self.enabled_ms - self.disabled_ms) / self.disabled_ms * 100.0
-    }
-}
-
-/// Runs the observability overhead guardrail: the Fig. 8 adaptive sweep
-/// at a fixed payload, once with spans collected and once with a disabled
-/// collector, plus a tight loop over disabled-mode instrumentation calls.
-pub fn bench_observability() -> ObservabilityBench {
-    use std::hint::black_box;
-    use std::time::Instant;
-    // One mid-sweep payload per mode is enough for a guardrail; the full
-    // sweep is the figure generator's job.
-    const PAYLOAD: usize = 4_300_000;
-    const REPS: usize = 5;
-
-    // A 10% keep rate over a healthy run: most spans buffered then
-    // dropped, which is the worst case for sampler bookkeeping.
-    let sampler = SamplerOptions {
-        keep_fraction: 0.1,
-        ..SamplerOptions::default()
-    };
-
-    // Untimed warm-up pass: the first runs pay allocator growth and
-    // first-touch page faults for the multi-megabyte payload buffers,
-    // which would otherwise swamp the instrumentation cost being measured.
-    let _ = run_follow_me_observed(BindingPolicy::Adaptive, PAYLOAD, true);
-    let _ = run_follow_me_observed(BindingPolicy::Adaptive, PAYLOAD, false);
-    let _ = run_follow_me_sampled(BindingPolicy::Adaptive, PAYLOAD, sampler);
-
-    // Best-of-REPS per mode: the minimum is the steady-state cost with OS
-    // scheduling noise filtered out.
-    let mut enabled_ms = f64::INFINITY;
-    let mut disabled_ms = f64::INFINITY;
-    let mut sampled_ms = f64::INFINITY;
-    let mut spans_enabled = 0;
-    let mut spans_disabled = 0;
-    let mut sampled_stats = None;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let (_, spans) = run_follow_me_observed(BindingPolicy::Adaptive, PAYLOAD, true);
-        enabled_ms = enabled_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        spans_enabled = spans;
-        let t = Instant::now();
-        let (_, spans) = run_follow_me_observed(BindingPolicy::Adaptive, PAYLOAD, false);
-        disabled_ms = disabled_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        spans_disabled = spans;
-        let t = Instant::now();
-        let (_, stats) = run_follow_me_sampled(BindingPolicy::Adaptive, PAYLOAD, sampler);
-        sampled_ms = sampled_ms.min(t.elapsed().as_secs_f64() * 1e3);
-        sampled_stats = Some(stats);
-    }
-    let sampled_stats = sampled_stats.expect("REPS > 0");
-    assert_eq!(
-        sampled_stats.unaccounted(),
-        0,
-        "sampler accounting must be exact"
-    );
-    assert_eq!(
-        (sampled_stats.spans_kept + sampled_stats.spans_dropped + sampled_stats.spans_buffered)
-            as usize,
-        spans_enabled,
-        "sampled run sees the same span stream as the enabled run"
-    );
-
-    let mut tel = Telemetry::disabled();
-    const OPS: u32 = 1_000_000;
-    let t = Instant::now();
-    for i in 0..OPS {
-        let guard = black_box(&mut tel).open("noop", None, SimTime::ZERO);
-        tel.attr(guard.id(), "i", u64::from(i));
-        guard.close(&mut tel, SimTime::ZERO);
-    }
-    // Three instrumentation calls per iteration.
-    let disabled_ns_per_op = t.elapsed().as_nanos() as f64 / f64::from(OPS) / 3.0;
-    assert!(tel.spans().is_empty(), "disabled collector must stay empty");
-
-    ObservabilityBench {
-        enabled_ms,
-        disabled_ms,
-        sampled_ms,
-        spans_enabled,
-        spans_disabled,
-        spans_sampled_kept: sampled_stats.spans_kept,
-        spans_sampled_dropped: sampled_stats.spans_dropped + sampled_stats.spans_buffered,
-        disabled_ns_per_op,
-    }
-}
-
-/// Renders [`bench_observability`] as the machine-readable
-/// `BENCH_observability.json` document.
-pub fn bench_observability_json() -> String {
-    let b = bench_observability();
+/// Exports spans and trace events as a JSONL event log: one JSON object
+/// per line, spans first (creation order), then trace events (recording
+/// order). A sampled collector appends one final `{"type":"sampler",...}`
+/// accounting line, so truncation is visible in the artifact itself.
+pub fn export_jsonl(tel: &Telemetry, trace: &Trace) -> String {
+    let spans = tel.spans().iter().map(|span| {
+        Value::object([
+            ("type", "span".into()),
+            ("id", span.id.raw().into()),
+            ("parent", span.parent.map(SpanId::raw).into()),
+            ("name", span.name.as_ref().into()),
+            ("start_us", span.start.as_micros().into()),
+            ("end_us", span.end.map(SimTime::as_micros).into()),
+            ("attrs", attrs(&span.attrs)),
+        ])
+    });
+    let events = trace.entries().iter().map(|entry| {
+        Value::object([
+            ("type", "event".into()),
+            ("at_us", entry.at.as_micros().into()),
+            ("category", entry.category.to_string().into()),
+            ("kind", entry.event.kind().into()),
+            ("message", entry.message().into()),
+        ])
+    });
+    let footer = sampler_accounting(tel)
+        .map(|pairs| Value::object([("type", "sampler".into())].into_iter().chain(pairs)));
     let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"mdagent-bench/observability/v2\",\n");
-    out.push_str(
-        "  \"command\": \"cargo run --release -p mdagent-bench --bin figures -- bench-observability\",\n",
-    );
-    out.push_str(
-        "  \"note\": \"fig8-shaped follow-me runs: telemetry enabled vs Telemetry::disabled() vs \
-         tail-sampled at 10% keep; wall_ms is the best of 5 warmed runs per mode, \
-         disabled_ns_per_op is the instrumentation floor\",\n",
-    );
-    out.push_str(&format!(
-        "  \"enabled\": {{\"wall_ms\": {:.3}, \"spans\": {}}},\n",
-        b.enabled_ms, b.spans_enabled
-    ));
-    out.push_str(&format!(
-        "  \"disabled\": {{\"wall_ms\": {:.3}, \"spans\": {}}},\n",
-        b.disabled_ms, b.spans_disabled
-    ));
-    out.push_str(&format!(
-        "  \"sampled\": {{\"wall_ms\": {:.3}, \"spans_kept\": {}, \"spans_dropped\": {}}},\n",
-        b.sampled_ms, b.spans_sampled_kept, b.spans_sampled_dropped
-    ));
-    out.push_str(&format!(
-        "  \"overhead_percent\": {:.2},\n",
-        b.overhead_percent()
-    ));
-    out.push_str(&format!(
-        "  \"disabled_ns_per_op\": {:.2}\n",
-        b.disabled_ns_per_op
-    ));
-    out.push_str("}\n");
+    for line in spans.chain(events).chain(footer) {
+        out.push_str(&line.compact());
+        out.push('\n');
+    }
     out
+}
+
+/// Exports spans and trace events as one Chrome trace-event document.
+///
+/// Spans become complete events (`"ph":"X"`, microsecond `ts`/`dur`) and
+/// trace entries become instant events (`"ph":"i"`). Each span tree gets
+/// its own track: `tid` is the root ancestor's span id, so concurrent
+/// migrations render on separate rows.
+pub fn export_chrome(tel: &Telemetry, trace: &Trace) -> String {
+    let spans = tel.spans().iter().map(|span| {
+        Value::object([
+            ("name", span.name.as_ref().into()),
+            ("cat", "span".into()),
+            ("ph", "X".into()),
+            ("ts", span.start.as_micros().into()),
+            ("dur", span.duration_micros().into()),
+            ("pid", 1u64.into()),
+            ("tid", tel.root_of(span.id).raw().into()),
+            ("args", attrs(&span.attrs)),
+        ])
+    });
+    let events = trace.entries().iter().map(|entry| {
+        Value::object([
+            ("name", entry.message().into()),
+            ("cat", entry.category.to_string().into()),
+            ("ph", "i".into()),
+            ("s", "g".into()),
+            ("ts", entry.at.as_micros().into()),
+            ("pid", 1u64.into()),
+            ("tid", 0u64.into()),
+            ("args", Value::object([("kind", entry.event.kind().into())])),
+        ])
+    });
+    Value::object([
+        ("displayTimeUnit", "ms".into()),
+        ("traceEvents", Value::array(spans.chain(events))),
+    ])
+    .compact()
+}
+
+/// A span's attributes as one JSON object, in attachment order.
+fn attrs(pairs: &[(&'static str, AttrValue)]) -> Value {
+    Value::object(pairs.iter().map(|(key, value)| {
+        let value = match value {
+            AttrValue::Str(s) => s.as_ref().into(),
+            AttrValue::U64(v) => (*v).into(),
+            AttrValue::I64(v) => (*v).into(),
+            AttrValue::F64(v) => (*v).into(),
+            AttrValue::Bool(b) => (*b).into(),
+        };
+        (*key, value)
+    }))
+}
+
+/// A sampled collector's exact span and trace accounting; `None` when the
+/// collector does not sample. The same members make the JSONL footer and
+/// the `sampler` section of `OBS_report.json`.
+pub(crate) fn sampler_accounting(tel: &Telemetry) -> Option<Vec<(&'static str, Value)>> {
+    let stats = tel.sampler_stats()?;
+    let ring_capacity = tel.sampler_options().map_or(0, |o| o.ring_capacity);
+    Some(vec![
+        ("spans_opened", stats.spans_opened.into()),
+        ("spans_kept", stats.spans_kept.into()),
+        ("spans_dropped", stats.spans_dropped.into()),
+        ("spans_buffered", stats.spans_buffered.into()),
+        ("buffered_peak", stats.buffered_peak.into()),
+        ("ring_capacity", ring_capacity.into()),
+        ("traces_started", stats.traces_started.into()),
+        ("traces_kept", stats.traces_kept.into()),
+        ("traces_dropped", stats.traces_dropped.into()),
+        ("traces_evicted", stats.traces_evicted.into()),
+        ("unaccounted", stats.unaccounted().into()),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
+    use mdagent_json::parse;
+    use mdagent_simnet::{SamplerOptions, TraceCategory};
+
     use super::*;
 
     #[test]
@@ -366,27 +319,96 @@ mod tests {
     }
 
     #[test]
-    fn observability_guardrail_holds() {
-        let b = bench_observability();
-        assert_eq!(b.spans_disabled, 0, "disabled mode must record nothing");
-        assert!(b.spans_enabled > 0, "enabled mode must record spans");
-        // Sampled mode keeps a subset and accounts for every other span
-        // (bench_observability itself asserts unaccounted == 0).
-        assert!(
-            (b.spans_sampled_kept as usize) <= b.spans_enabled,
-            "sampling can only shrink the span stream"
+    fn trace_artifacts_are_well_formed() {
+        for scenario in TRACE_SCENARIOS {
+            let art = trace_scenario(scenario).expect("known scenario");
+            let mut migrations = 0;
+            for line in art.jsonl.lines() {
+                let obj = parse(line).expect("each line is one JSON object");
+                match obj["type"].as_str() {
+                    Some("span") => {
+                        let start = obj["start_us"].as_u64().expect("start_us");
+                        let end = obj["end_us"].as_u64().expect("closed span");
+                        assert!(end >= start, "{scenario}: {line}");
+                        migrations += usize::from(obj["name"].as_str() == Some("migration"));
+                    }
+                    Some("event") => {}
+                    _ => panic!("{scenario}: neither span nor event: {line}"),
+                }
+            }
+            assert!(migrations > 0, "{scenario} has a migration span");
+            let doc = parse(&art.chrome).expect("the Chrome document parses");
+            assert_eq!(doc["displayTimeUnit"].as_str(), Some("ms"));
+            let events = doc["traceEvents"].as_arr().expect("traceEvents");
+            assert!(!events.is_empty());
+            for e in events {
+                assert!(
+                    e["ph"].as_str().is_some() && e["ts"].as_u64().is_some(),
+                    "{e:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn jsonl_export_has_one_object_per_line() {
+        let mut tel = Telemetry::new();
+        let root = tel.open("migration", None, SimTime::ZERO);
+        tel.attr(root.id(), "app", "app-0".to_owned());
+        root.close(&mut tel, SimTime::from_millis(2));
+        let mut trace = Trace::new();
+        trace.record(
+            SimTime::from_millis(1),
+            TraceCategory::Agent,
+            "hi \"there\"",
         );
-        assert_eq!(
-            b.spans_sampled_kept + b.spans_sampled_dropped,
-            b.spans_enabled as u64,
-            "kept + dropped covers the whole stream"
+        let jsonl = export_jsonl(&tel, &trace);
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(lines.len(), 2);
+        assert!(lines[0].contains("\"type\":\"span\""));
+        assert!(lines[0].contains("\"name\":\"migration\""));
+        assert!(lines[0].contains("\"app\":\"app-0\""));
+        assert!(lines[1].contains("\"type\":\"event\""));
+        assert!(lines[1].contains("hi \\\"there\\\""));
+    }
+
+    #[test]
+    fn chrome_export_uses_root_track() {
+        let mut tel = Telemetry::new();
+        let root = tel.open("migration", None, SimTime::ZERO).detach();
+        let _ = tel.record_span(
+            "migration.suspend",
+            Some(root),
+            SimTime::ZERO,
+            SimTime::from_millis(1),
         );
-        // Disabled-mode calls are a branch on a bool; leave generous
-        // headroom for debug builds and noisy CI.
-        assert!(
-            b.disabled_ns_per_op < 1_000.0,
-            "disabled op cost {} ns",
-            b.disabled_ns_per_op
-        );
+        tel.end(root, SimTime::from_millis(2));
+        let json = export_chrome(&tel, &Trace::new());
+        assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
+        assert!(json.ends_with("]}"));
+        assert!(json.contains("\"ph\":\"X\""));
+        // Both spans share the root's track id.
+        assert_eq!(json.matches(&format!("\"tid\":{}", root.raw())).count(), 2);
+    }
+
+    #[test]
+    fn sampled_jsonl_has_accounting_footer() {
+        let mut tel = Telemetry::sampled(SamplerOptions {
+            keep_fraction: 0.0,
+            latency_threshold: SimDuration::from_millis(60_000),
+            ring_capacity: 16,
+            seed: 7,
+        });
+        let root = tel.open("migration", None, SimTime::ZERO).detach();
+        for (name, ms) in [("migration.suspend", 1), ("migration.resume", 2)] {
+            let _ = tel.record_span(name, Some(root), SimTime::ZERO, SimTime::from_millis(ms));
+        }
+        tel.end(root, SimTime::from_millis(2));
+        let jsonl = export_jsonl(&tel, &Trace::new());
+        let footer = parse(jsonl.lines().last().unwrap()).unwrap();
+        assert_eq!(footer["type"].as_str(), Some("sampler"));
+        assert_eq!(footer["spans_dropped"].as_u64(), Some(3));
+        assert_eq!(footer["ring_capacity"].as_u64(), Some(16));
+        assert_eq!(footer["unaccounted"].as_u64(), Some(0));
     }
 }

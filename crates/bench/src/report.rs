@@ -10,16 +10,15 @@
 //! alert counts, and exemplar trace ids for the slowest and every aborted
 //! migration.
 
-use std::fmt::Write as _;
-
 use mdagent_context::UserId;
 use mdagent_core::{
     BindingPolicy, Component, ComponentKind, DeviceProfile, FaultOptions, Middleware, MobilityMode,
     ObservabilityOptions, SamplerOptions, SloOptions, UserProfile,
 };
+use mdagent_json::Value;
 use mdagent_simnet::{AttrValue, CpuFactor, DurationStats, SimDuration, SpanId};
 
-use crate::observe::{clone_world, follow_me_world};
+use crate::observe::{clone_world, follow_me_world, sampler_accounting};
 
 /// The observability configuration the report scenarios run under: keep
 /// everything in the showcase scenarios so the phase breakdown is
@@ -102,17 +101,17 @@ fn churn_world(migrations: usize) -> Middleware {
 
 /// `{"p50_ms": .., "p99_ms": .., "count": ..}` over the durations of the
 /// kept spans with this name.
-fn phase_json(world: &Middleware, name: &str) -> String {
+fn phase(world: &Middleware, name: &str) -> Value {
     let mut stats = DurationStats::new();
     for span in world.telemetry().spans_named(name) {
         stats.record(SimDuration::from_micros(span.duration_micros()));
     }
-    format!(
-        "{{\"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"count\": {}}}",
-        stats.quantile(0.5).as_millis_f64(),
-        stats.quantile(0.99).as_millis_f64(),
-        stats.count()
-    )
+    let ms = |q| Value::fixed(stats.quantile(q).as_millis_f64(), 3);
+    Value::object([
+        ("p50_ms", ms(0.5)),
+        ("p99_ms", ms(0.99)),
+        ("count", stats.count().into()),
+    ])
 }
 
 /// Root span ids of kept `migration` traces, with the slowest first and
@@ -132,91 +131,57 @@ fn exemplars(world: &Middleware) -> (Option<SpanId>, Vec<SpanId>) {
     (slowest, aborted)
 }
 
-/// Renders one scenario section of the report.
-fn scenario_json(name: &str, world: &Middleware) -> String {
-    let stats = world
-        .telemetry()
-        .sampler_stats()
-        .expect("report scenarios run sampled");
-    let (slowest, aborted) = exemplars(world);
-    let mut out = String::new();
-    let _ = write!(out, "    {{\n      \"scenario\": \"{name}\",\n");
-    let _ = writeln!(
-        out,
-        "      \"sampler\": {{\"spans_opened\": {}, \"spans_kept\": {}, \"spans_dropped\": {}, \
-         \"spans_buffered\": {}, \"buffered_peak\": {}, \"ring_capacity\": {}, \
-         \"traces_started\": {}, \"traces_kept\": {}, \"traces_dropped\": {}, \
-         \"traces_evicted\": {}, \"unaccounted\": {}}},",
-        stats.spans_opened,
-        stats.spans_kept,
-        stats.spans_dropped,
-        stats.spans_buffered,
-        stats.buffered_peak,
-        world
-            .telemetry()
-            .sampler_options()
-            .map_or(0, |o| o.ring_capacity),
-        stats.traces_started,
-        stats.traces_kept,
-        stats.traces_dropped,
-        stats.traces_evicted,
-        stats.unaccounted()
-    );
-    let _ = writeln!(
-        out,
-        "      \"phases\": {{\"suspend\": {}, \"migrate\": {}, \"resume\": {}, \"total\": {}}},",
-        phase_json(world, "migration.suspend"),
-        phase_json(world, "migration.migrate"),
-        phase_json(world, "migration.resume"),
-        phase_json(world, "migration")
-    );
+/// One scenario section of the report.
+fn scenario(name: &str, world: &Middleware) -> Value {
+    let sampler = sampler_accounting(world.telemetry()).expect("report scenarios run sampled");
+    let phases = Value::object([
+        ("suspend", phase(world, "migration.suspend")),
+        ("migrate", phase(world, "migration.migrate")),
+        ("resume", phase(world, "migration.resume")),
+        ("total", phase(world, "migration")),
+    ]);
     let metrics = world.metrics();
-    let _ = writeln!(
-        out,
-        "      \"migrations\": {{\"completed\": {}, \"clones_completed\": {}, \"rollbacks\": {}, \
-         \"retries\": {}}},",
-        metrics.counter("migration.completed"),
-        metrics.counter("migration.clones_completed"),
-        metrics.counter("migration.rollbacks"),
-        metrics.counter("migration.retries")
-    );
-    out.push_str("      \"slos\": [");
-    if let Some(monitor) = world.slo_monitor() {
-        for (i, slo) in monitor.slos().iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "{{\"name\": \"{}\", \"objective\": {}, \"good\": {}, \"bad\": {}, \
-                 \"compliance\": {:.4}, \"alerting\": {}}}",
-                slo.spec().name,
-                slo.spec().objective,
-                slo.good_total(),
-                slo.bad_total(),
-                slo.compliance(),
-                slo.is_alerting()
-            );
-        }
-    }
-    out.push_str("],\n");
-    let _ = writeln!(
-        out,
-        "      \"alerts\": {{\"fired\": {}, \"recovered\": {}}},",
-        metrics.counter("slo.alerts_fired"),
-        metrics.counter("slo.alerts_recovered")
-    );
-    let _ = write!(
-        out,
-        "      \"exemplars\": {{\"slowest_trace\": {}, \"aborted_traces\": [{}]}}\n    }}",
-        slowest.map_or("null".to_string(), |s| s.raw().to_string()),
-        aborted
-            .iter()
-            .map(|s| s.raw().to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    out
+    let migrations = Value::object([
+        ("completed", metrics.counter("migration.completed").into()),
+        (
+            "clones_completed",
+            metrics.counter("migration.clones_completed").into(),
+        ),
+        ("rollbacks", metrics.counter("migration.rollbacks").into()),
+        ("retries", metrics.counter("migration.retries").into()),
+    ]);
+    let slos = world.slo_monitor().map_or(&[][..], |m| m.slos()).iter();
+    let slos = slos.map(|slo| {
+        Value::object([
+            ("name", slo.spec().name.into()),
+            ("objective", slo.spec().objective.into()),
+            ("good", slo.good_total().into()),
+            ("bad", slo.bad_total().into()),
+            ("compliance", Value::fixed(slo.compliance(), 4)),
+            ("alerting", slo.is_alerting().into()),
+        ])
+    });
+    let alerts = Value::object([
+        ("fired", metrics.counter("slo.alerts_fired").into()),
+        ("recovered", metrics.counter("slo.alerts_recovered").into()),
+    ]);
+    let (slowest, aborted) = exemplars(world);
+    let exemplars = Value::object([
+        ("slowest_trace", slowest.map(SpanId::raw).into()),
+        (
+            "aborted_traces",
+            Value::array(aborted.iter().map(|s| s.raw())),
+        ),
+    ]);
+    Value::object([
+        ("scenario", name.into()),
+        ("sampler", Value::object(sampler)),
+        ("phases", phases),
+        ("migrations", migrations),
+        ("slos", Value::array(slos)),
+        ("alerts", alerts),
+        ("exemplars", exemplars),
+    ])
 }
 
 /// Number of follow-me attempts in the churn scenario. High enough that
@@ -231,85 +196,81 @@ pub fn obs_report_json() -> String {
         ("clone", clone_world(full_keep())),
         ("churn", churn_world(CHURN_MIGRATIONS)),
     ];
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"mdagent-bench/obs-report/v1\",\n");
-    out.push_str("  \"command\": \"cargo run -p mdagent-bench --bin figures -- report\",\n");
-    out.push_str(
-        "  \"note\": \"sampled observability pipeline over the trace scenarios plus a lossy \
-         churn run (30% drop, 1% keep, ring 512); latencies are simulated milliseconds over \
-         kept spans; exemplar ids refer to span ids in the sampled collector\",\n",
-    );
-    out.push_str("  \"scenarios\": [\n");
-    for (i, (name, world)) in scenarios.iter().enumerate() {
-        out.push_str(&scenario_json(name, world));
-        out.push_str(if i + 1 < scenarios.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let scenarios = scenarios.iter().map(|(name, world)| scenario(name, world));
+    Value::object([
+        ("schema", "mdagent-bench/obs-report/v1".into()),
+        (
+            "command",
+            "cargo run -p mdagent-bench --bin figures -- report".into(),
+        ),
+        (
+            "note",
+            "sampled observability pipeline over the trace scenarios plus a lossy churn run \
+             (30% drop, 1% keep, ring 512); latencies are simulated milliseconds over kept \
+             spans; exemplar ids refer to span ids in the sampled collector"
+                .into(),
+        ),
+        ("scenarios", Value::array(scenarios)),
+    ])
+    .pretty()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn section<'a>(report: &'a str, name: &str) -> &'a str {
-        let start = report
-            .find(&format!("\"scenario\": \"{name}\""))
-            .unwrap_or_else(|| panic!("{name} section present"));
-        let rest = &report[start..];
-        let end = rest.find("\n    }").map_or(rest.len(), |e| e + 6);
-        &rest[..end]
-    }
-
-    fn field_u64(section: &str, key: &str) -> u64 {
-        let tag = format!("\"{key}\": ");
-        let start = section
-            .find(&tag)
-            .unwrap_or_else(|| panic!("field {key} present"));
-        section[start + tag.len()..]
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .unwrap_or_else(|_| panic!("field {key} numeric"))
-    }
-
     #[test]
     fn report_accounts_exactly_and_keeps_aborts() {
-        let report = obs_report_json();
-        assert!(report.contains("\"schema\": \"mdagent-bench/obs-report/v1\""));
-        for name in ["follow-me", "clone", "churn"] {
-            let s = section(&report, name);
-            assert_eq!(field_u64(s, "unaccounted"), 0, "{name} accounting exact");
-            assert!(field_u64(s, "traces_kept") > 0, "{name} kept traces");
+        let report = mdagent_json::parse(&obs_report_json()).expect("the report parses");
+        assert_eq!(
+            report["schema"].as_str(),
+            Some("mdagent-bench/obs-report/v1")
+        );
+        let scenarios = report["scenarios"].as_arr().expect("scenario list");
+        let names: Vec<_> = scenarios.iter().map(|s| s["scenario"].as_str()).collect();
+        assert_eq!(names, [Some("follow-me"), Some("clone"), Some("churn")]);
+        let n = |v: &Value| v.as_u64().unwrap_or_else(|| panic!("{v:?} is a count"));
+        for (s, name) in scenarios.iter().zip(names) {
+            let sampler = &s["sampler"];
+            // Drop accounting is exact: every span opened is kept,
+            // dropped, or still buffered — never silently lost.
+            assert_eq!(n(&sampler["unaccounted"]), 0, "{name:?}");
+            assert_eq!(
+                n(&sampler["spans_kept"])
+                    + n(&sampler["spans_dropped"])
+                    + n(&sampler["spans_buffered"]),
+                n(&sampler["spans_opened"]),
+                "{name:?}"
+            );
+            assert!(n(&sampler["traces_kept"]) > 0, "{name:?} kept traces");
+            assert!(
+                n(&sampler["buffered_peak"]) <= n(&sampler["ring_capacity"]),
+                "{name:?} peak buffering bounded by the ring"
+            );
+            for phase in ["suspend", "migrate", "resume", "total"] {
+                let p = &s["phases"][phase];
+                let ms = |key: &str| p[key].as_f64().expect("a latency");
+                assert!(
+                    ms("p99_ms") >= ms("p50_ms") && ms("p50_ms") >= 0.0,
+                    "{name:?} {phase}"
+                );
+            }
         }
         // The churn run under 30% drop probability must produce aborted
-        // migrations, keep every one of them, and stay within the ring.
-        let churn = section(&report, "churn");
-        let rollbacks = field_u64(churn, "rollbacks");
+        // migrations and keep every one of them as an exemplar, and at a
+        // 1% keep rate it must actually drop most healthy traces.
+        let churn = &scenarios[2];
+        let rollbacks = n(&churn["migrations"]["rollbacks"]);
         assert!(rollbacks > 0, "lossy churn must roll back some migrations");
-        let aborted_list = churn
-            .split("\"aborted_traces\": [")
-            .nth(1)
-            .expect("aborted exemplar list")
-            .split(']')
-            .next()
-            .expect("list closes");
-        let aborted_count = aborted_list
-            .split(',')
-            .filter(|s| !s.trim().is_empty())
-            .count() as u64;
         assert_eq!(
-            aborted_count, rollbacks,
+            churn["exemplars"]["aborted_traces"]
+                .as_arr()
+                .map(<[_]>::len),
+            Some(rollbacks as usize),
             "every rolled-back migration kept as an exemplar"
         );
-        assert!(
-            field_u64(churn, "buffered_peak") <= field_u64(churn, "ring_capacity"),
-            "peak buffering bounded by the ring"
-        );
-        // 1% keep on a mostly-healthy run: drops are recorded, not silent.
-        assert!(field_u64(churn, "traces_dropped") > 0);
+        assert!(n(&churn["sampler"]["traces_dropped"]) > 0);
+        assert!(n(&churn["alerts"]["fired"]) >= 1);
     }
 
     #[test]

@@ -19,11 +19,11 @@
 //! Wall-clock and RSS readings live here because this is the measurement
 //! crate; everything the simulator itself does stays on virtual time.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use mdagent_agent::{Agent, AgentId, ContainerId, Platform, PlatformEnv, PlatformHost};
 use mdagent_apps::{ChurnAgent, ChurnBoard, ChurnHost, DiurnalModel};
+use mdagent_json::Value;
 use mdagent_simnet::{
     EventData, QueueKind, SimDuration, SimTime, Simulator, Telemetry, Topology, Trace,
 };
@@ -389,67 +389,63 @@ pub fn bench_scale_json(smoke: bool) -> String {
         runs.push(run_churn("churn-100k", 32, 2, 100_000));
     }
 
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"mdagent-bench/scale/v1\",\n");
-    let _ = writeln!(
-        out,
-        "  \"command\": \"cargo run --release -p mdagent-bench --bin figures -- bench-scale{}\",",
-        if smoke { " --smoke" } else { "" }
-    );
-    out.push_str(
-        "  \"note\": \"queue_comparison runs identical self-rescheduling tick chains under \
-         every queue/payload combination with a fixed event budget (seed-heap+boxed is the \
-         seed scheduler, calendar+data the rework; checksums prove identical dispatch order); \
-         churn runs simulate one diurnal day of commuting agents over a grid city, with trace \
-         and telemetry disabled so the scheduler and agent arena are what is measured\",\n",
-    );
-    let _ = writeln!(out, "  \"smoke\": {smoke},");
-    out.push_str("  \"queue_comparison\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"workload\": \"tick-chains\", \"agents\": {agents}, \"event_budget\": {budget},"
-    );
-    out.push_str("    \"modes\": [\n");
-    for (i, m) in modes.iter().enumerate() {
-        let _ = write!(
-            out,
-            "      {{\"label\": \"{}\", \"events\": {}, \"wall_ms\": {:.3}, \
-             \"events_per_sec\": {:.0}}}",
-            m.label, m.events, m.wall_ms, m.events_per_sec
-        );
-        out.push_str(if i + 1 < modes.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("    ],\n");
-    let _ = writeln!(out, "    \"speedup_events_per_sec\": {speedup:.2}");
-    out.push_str("  },\n");
-    out.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"label\": \"{}\", \"spaces\": {}, \"hosts\": {}, \"peak_agents\": {}, \
-             \"events\": {}, \"wall_ms\": {:.1}, \"events_per_sec\": {:.0}, \
-             \"rss_mb\": {:.1}, \"peak_rss_mb\": {:.1}, \"spawned\": {}, \"despawned\": {}, \
-             \"migrations\": {}, \"migration_p50_ms\": {:.3}, \"migration_p99_ms\": {:.3}}}",
-            r.label,
-            r.spaces,
-            r.hosts,
-            r.peak_agents,
-            r.events,
-            r.wall_ms,
-            r.events_per_sec,
-            r.rss_mb,
-            r.peak_rss_mb,
-            r.spawned,
-            r.despawned,
-            r.migrations,
-            r.migration_p50_ms,
-            r.migration_p99_ms
-        );
-        out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let modes = modes.iter().map(|m| {
+        Value::object([
+            ("label", m.label.into()),
+            ("events", m.events.into()),
+            ("wall_ms", Value::fixed(m.wall_ms, 3)),
+            ("events_per_sec", Value::fixed(m.events_per_sec, 0)),
+        ])
+    });
+    let queue_comparison = Value::object([
+        ("workload", "tick-chains".into()),
+        ("agents", agents.into()),
+        ("event_budget", budget.into()),
+        ("modes", Value::array(modes)),
+        ("speedup_events_per_sec", Value::fixed(speedup, 2)),
+    ]);
+    let runs = runs.iter().map(|r| {
+        Value::object([
+            ("label", r.label.as_str().into()),
+            ("spaces", r.spaces.into()),
+            ("hosts", r.hosts.into()),
+            ("peak_agents", r.peak_agents.into()),
+            ("events", r.events.into()),
+            ("wall_ms", Value::fixed(r.wall_ms, 1)),
+            ("events_per_sec", Value::fixed(r.events_per_sec, 0)),
+            ("rss_mb", Value::fixed(r.rss_mb, 1)),
+            ("peak_rss_mb", Value::fixed(r.peak_rss_mb, 1)),
+            ("spawned", r.spawned.into()),
+            ("despawned", r.despawned.into()),
+            ("migrations", r.migrations.into()),
+            ("migration_p50_ms", Value::fixed(r.migration_p50_ms, 3)),
+            ("migration_p99_ms", Value::fixed(r.migration_p99_ms, 3)),
+        ])
+    });
+    let smoke_flag = if smoke { " --smoke" } else { "" };
+    Value::object([
+        ("schema", "mdagent-bench/scale/v1".into()),
+        (
+            "command",
+            format!(
+                "cargo run --release -p mdagent-bench --bin figures -- bench-scale{smoke_flag}"
+            )
+            .into(),
+        ),
+        (
+            "note",
+            "queue_comparison runs identical self-rescheduling tick chains under every \
+             queue/payload combination with a fixed event budget (seed-heap+boxed is the seed \
+             scheduler, calendar+data the rework; checksums prove identical dispatch order); \
+             churn runs simulate one diurnal day of commuting agents over a grid city, with \
+             trace and telemetry disabled so the scheduler and agent arena are what is measured"
+                .into(),
+        ),
+        ("smoke", smoke.into()),
+        ("queue_comparison", queue_comparison),
+        ("runs", Value::array(runs)),
+    ])
+    .pretty()
 }
 
 #[cfg(test)]

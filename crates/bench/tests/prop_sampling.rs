@@ -2,6 +2,8 @@
 //! exported span may orphan its parent (in either exporter), the drop
 //! accounting must be exact, and interesting traces must survive.
 
+use mdagent_bench::{export_chrome, export_jsonl};
+use mdagent_json::{parse, Value};
 use mdagent_simnet::{SamplerOptions, SimDuration, SimTime, Telemetry, Trace};
 use proptest::prelude::*;
 
@@ -50,14 +52,6 @@ fn drive(specs: &[TraceSpec], opts: SamplerOptions) -> Telemetry {
     tel
 }
 
-/// Extracts the integer following `"<key>":` on a JSON line, if any.
-fn json_u64(line: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\":");
-    let rest = &line[line.find(&tag)? + tag.len()..];
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    digits.parse().ok()
-}
-
 proptest! {
     /// After tail-drop and ring eviction, both exporters stay closed
     /// under parentage: every exported span's parent is also exported,
@@ -80,32 +74,27 @@ proptest! {
         let trace = Trace::new();
 
         // JSONL: collect exported ids, then check every parent link.
-        let jsonl = tel.export_jsonl(&trace);
-        let span_lines: Vec<&str> = jsonl
-            .lines()
-            .filter(|l| l.starts_with("{\"type\":\"span\""))
-            .collect();
-        let ids: Vec<u64> = span_lines
-            .iter()
-            .filter_map(|l| json_u64(l, "id"))
-            .collect();
-        prop_assert_eq!(ids.len(), span_lines.len(), "every span line has an id");
-        for line in &span_lines {
-            if let Some(parent) = json_u64(line, "parent") {
+        let jsonl = export_jsonl(&tel, &trace);
+        let lines: Vec<Value> = jsonl.lines().map(|l| parse(l).expect("one object per line")).collect();
+        let spans: Vec<&Value> = lines.iter().filter(|l| l["type"].as_str() == Some("span")).collect();
+        let ids: Vec<u64> = spans.iter().filter_map(|l| l["id"].as_u64()).collect();
+        prop_assert_eq!(ids.len(), spans.len(), "every span line has an id");
+        for line in &spans {
+            if let Some(parent) = line["parent"].as_u64() {
                 prop_assert!(
                     ids.contains(&parent),
-                    "span line {line} orphaned: parent {parent} not exported"
+                    "span line {line:?} orphaned: parent {parent} not exported"
                 );
             }
         }
 
         // Chrome: every complete event's track (tid) is an exported span.
-        let chrome = tel.export_chrome(&trace);
-        for event in chrome.split("{\"name\":").skip(1) {
-            if !event.contains("\"ph\":\"X\"") {
+        let chrome = parse(&export_chrome(&tel, &trace)).expect("the Chrome document parses");
+        for event in chrome["traceEvents"].as_arr().expect("traceEvents") {
+            if event["ph"].as_str() != Some("X") {
                 continue;
             }
-            let tid = json_u64(event, "tid").expect("chrome event has a tid");
+            let tid = event["tid"].as_u64().expect("chrome event has a tid");
             prop_assert!(ids.contains(&tid), "chrome tid {tid} not exported");
         }
 
@@ -122,13 +111,10 @@ proptest! {
         let stats = tel.sampler_stats().expect("sampled collector reports stats");
         prop_assert_eq!(stats.unaccounted(), 0);
         prop_assert_eq!(stats.spans_kept, tel.spans().len() as u64);
-        let footer = jsonl
-            .lines()
-            .rev()
-            .find(|l| l.starts_with("{\"type\":\"sampler\""))
-            .expect("sampler footer present");
-        prop_assert_eq!(json_u64(footer, "unaccounted"), Some(0));
-        prop_assert_eq!(json_u64(footer, "spans_kept"), Some(stats.spans_kept));
+        let footer = lines.last().expect("sampler footer present");
+        prop_assert_eq!(footer["type"].as_str(), Some("sampler"));
+        prop_assert_eq!(footer["unaccounted"].as_u64(), Some(0));
+        prop_assert_eq!(footer["spans_kept"].as_u64(), Some(stats.spans_kept));
     }
 
     /// With enough ring room for the live trace set, every ended aborted
@@ -161,8 +147,8 @@ proptest! {
         }
         let trace = Trace::new();
         let replay = drive(&specs, opts);
-        prop_assert_eq!(tel.export_jsonl(&trace), replay.export_jsonl(&trace));
-        prop_assert_eq!(tel.export_chrome(&trace), replay.export_chrome(&trace));
+        prop_assert_eq!(export_jsonl(&tel, &trace), export_jsonl(&replay, &trace));
+        prop_assert_eq!(export_chrome(&tel, &trace), export_chrome(&replay, &trace));
     }
 }
 

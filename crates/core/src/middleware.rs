@@ -554,13 +554,6 @@ impl Middleware {
         &self.env.telemetry
     }
 
-    /// Replaces the telemetry collector — pass
-    /// [`mdagent_simnet::Telemetry::disabled`] to turn span collection
-    /// into a no-op for overhead-sensitive runs.
-    pub fn set_telemetry(&mut self, telemetry: mdagent_simnet::Telemetry) {
-        self.env.telemetry = telemetry;
-    }
-
     /// The SLO monitor, present iff SLO monitoring was enabled.
     pub fn slo_monitor(&self) -> Option<&SloMonitor> {
         self.slo.as_ref()

@@ -1,75 +1,43 @@
 //! Machine-readable `LINT_report.json` writer.
 //!
-//! Hand-rolled JSON (the workspace builds offline, no serde). Output is
-//! deterministic: findings are sorted by (file, line, rule) before this
-//! module sees them, and keys are emitted in a fixed order.
+//! Output is deterministic: findings are sorted by (file, line, rule)
+//! before this module sees them, and keys are emitted in a fixed order.
+
+use mdagent_json::Value;
 
 use crate::Finding;
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders the report document. `findings` must already be sorted.
 pub fn render_report(findings: &[Finding]) -> String {
     let allowed = findings.iter().filter(|f| f.allowed).count();
-    let unallowed = findings.len() - allowed;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"mdlint-report-v2\",\n");
-    out.push_str(&format!(
-        "  \"counts\": {{ \"total\": {}, \"allowed\": {}, \"unallowed\": {} }},\n",
-        findings.len(),
-        allowed,
-        unallowed
-    ));
-    out.push_str("  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n    { ");
-        out.push_str(&format!(
-            "\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"snippet\": \"{}\", \"allowed\": {}",
-            escape(f.rule),
-            escape(&f.file),
-            f.line,
-            escape(&f.snippet),
-            f.allowed
-        ));
-        if let Some(reason) = &f.reason {
-            out.push_str(&format!(", \"reason\": \"{}\"", escape(reason)));
-        }
-        // v2: graph rules attach the entry-to-site call path.
-        if !f.call_path.is_empty() {
-            out.push_str(", \"call_path\": [");
-            for (k, hop) in f.call_path.iter().enumerate() {
-                if k > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\"", escape(hop)));
-            }
-            out.push(']');
-        }
-        out.push_str(" }");
+    let counts = Value::object([
+        ("total", findings.len().into()),
+        ("allowed", allowed.into()),
+        ("unallowed", (findings.len() - allowed).into()),
+    ]);
+    Value::object([
+        ("schema", "mdlint-report-v2".into()),
+        ("counts", counts),
+        ("findings", Value::array(findings.iter().map(finding))),
+    ])
+    .pretty()
+}
+
+fn finding(f: &Finding) -> Value {
+    let mut pairs = vec![
+        ("rule", Value::from(f.rule)),
+        ("file", f.file.as_str().into()),
+        ("line", f.line.into()),
+        ("snippet", f.snippet.as_str().into()),
+        ("allowed", f.allowed.into()),
+    ];
+    if let Some(reason) = &f.reason {
+        pairs.push(("reason", reason.as_str().into()));
     }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
+    // v2: graph rules attach the entry-to-site call path.
+    if !f.call_path.is_empty() {
+        let hops = f.call_path.iter().map(String::as_str);
+        pairs.push(("call_path", Value::array(hops)));
     }
-    out.push_str("]\n}\n");
-    out
+    Value::object(pairs)
 }

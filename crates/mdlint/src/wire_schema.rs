@@ -24,6 +24,8 @@
 //! `cargo run -p mdlint -- --write-wire-schema`, so the diff is always
 //! reviewed.
 
+use mdagent_json::Value;
+
 use crate::lexer::{Tok, TokKind};
 use crate::parser::ParsedFile;
 use crate::Finding;
@@ -337,126 +339,89 @@ pub fn extract(files: &[ParsedFile]) -> Vec<WireType> {
     out
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::new();
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the canonical lock JSON (sorted by type name, 2-space indent,
 /// trailing newline) — byte-stable across runs.
 pub fn render(types: &[WireType]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema\": \"{LOCK_SCHEMA}\",\n"));
-    s.push_str("  \"types\": [\n");
-    for (ti, t) in types.iter().enumerate() {
-        s.push_str("    {\n");
-        s.push_str(&format!("      \"name\": \"{}\",\n", esc(&t.name)));
+    let types = types.iter().map(|t| {
+        let mut pairs = vec![("name", Value::from(t.name.as_str()))];
         match &t.shape {
             WireShape::Struct { fields, manual } => {
-                s.push_str("      \"kind\": \"struct\",\n");
-                s.push_str(&format!(
-                    "      \"impl\": \"{}\",\n",
-                    if *manual { "manual" } else { "macro" }
-                ));
-                s.push_str("      \"fields\": [\n");
-                for (fi, f) in fields.iter().enumerate() {
-                    let opt = if f.trailing_optional {
-                        ", \"trailing_optional\": true"
-                    } else {
-                        ""
-                    };
-                    s.push_str(&format!(
-                        "        {{ \"name\": \"{}\", \"type\": \"{}\"{} }}{}\n",
-                        esc(&f.name),
-                        esc(&f.ty),
-                        opt,
-                        if fi + 1 < fields.len() { "," } else { "" }
-                    ));
-                }
-                s.push_str("      ]\n");
+                let fields = fields.iter().map(|f| {
+                    let mut field = vec![
+                        ("name", Value::from(f.name.as_str())),
+                        ("type", f.ty.as_str().into()),
+                    ];
+                    if f.trailing_optional {
+                        field.push(("trailing_optional", true.into()));
+                    }
+                    Value::object(field)
+                });
+                pairs.extend([
+                    ("kind", "struct".into()),
+                    ("impl", if *manual { "manual" } else { "macro" }.into()),
+                    ("fields", Value::array(fields)),
+                ]);
             }
             WireShape::Enum { variants } => {
-                s.push_str("      \"kind\": \"enum\",\n");
-                s.push_str("      \"impl\": \"macro\",\n");
-                s.push_str("      \"variants\": [\n");
-                for (vi, (v, tag)) in variants.iter().enumerate() {
-                    s.push_str(&format!(
-                        "        {{ \"name\": \"{}\", \"tag\": {} }}{}\n",
-                        esc(v),
-                        tag,
-                        if vi + 1 < variants.len() { "," } else { "" }
-                    ));
-                }
-                s.push_str("      ]\n");
+                let variants = variants.iter().map(|(name, tag)| {
+                    Value::object([
+                        ("name", name.as_str().into()),
+                        ("tag", Value::Num(tag.clone())),
+                    ])
+                });
+                pairs.extend([
+                    ("kind", "enum".into()),
+                    ("impl", "macro".into()),
+                    ("variants", Value::array(variants)),
+                ]);
             }
         }
-        s.push_str(&format!(
-            "    }}{}\n",
-            if ti + 1 < types.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+        Value::object(pairs)
+    });
+    Value::object([
+        ("schema", LOCK_SCHEMA.into()),
+        ("types", Value::array(types)),
+    ])
+    .pretty()
 }
 
 /// Parses a committed lock back into shapes (file/line unset). Returns
 /// `Err` with a message on malformed JSON.
 pub fn parse_lock(text: &str) -> Result<Vec<WireType>, String> {
-    let v = json::parse(text)?;
-    let obj = v.as_obj().ok_or("lock root is not an object")?;
-    let types = json::get(obj, "types")
-        .and_then(|t| t.as_arr())
-        .ok_or("lock has no `types` array")?;
+    let doc = mdagent_json::parse(text).map_err(|e| e.to_string())?;
+    let str_at = |v: &Value, key: &str| v[key].as_str().map(str::to_owned);
+    let types = doc["types"].as_arr().ok_or("lock has no `types` array")?;
     let mut out = Vec::new();
     for t in types {
-        let to = t.as_obj().ok_or("type entry is not an object")?;
-        let name = json::get_str(to, "name").ok_or("type entry missing `name`")?;
-        let kind = json::get_str(to, "kind").ok_or("type entry missing `kind`")?;
-        let shape = match kind {
+        let name = str_at(t, "name").ok_or("type entry missing `name`")?;
+        let kind = str_at(t, "kind").ok_or("type entry missing `kind`")?;
+        let shape = match kind.as_str() {
             "struct" => {
-                let manual = json::get_str(to, "impl") == Some("manual");
-                let fields = json::get(to, "fields")
-                    .and_then(|f| f.as_arr())
+                let fields = t["fields"]
+                    .as_arr()
                     .ok_or("struct entry missing `fields`")?;
                 let mut fs = Vec::new();
                 for f in fields {
-                    let fo = f.as_obj().ok_or("field entry is not an object")?;
                     fs.push(WireField {
-                        name: json::get_str(fo, "name")
-                            .ok_or("field missing `name`")?
-                            .to_string(),
-                        ty: json::get_str(fo, "type")
-                            .ok_or("field missing `type`")?
-                            .to_string(),
-                        trailing_optional: matches!(
-                            json::get(fo, "trailing_optional"),
-                            Some(json::Value::Bool(true))
-                        ),
+                        name: str_at(f, "name").ok_or("field missing `name`")?,
+                        ty: str_at(f, "type").ok_or("field missing `type`")?,
+                        trailing_optional: f["trailing_optional"].as_bool() == Some(true),
                     });
                 }
-                WireShape::Struct { fields: fs, manual }
+                WireShape::Struct {
+                    fields: fs,
+                    manual: str_at(t, "impl").as_deref() == Some("manual"),
+                }
             }
             "enum" => {
-                let variants = json::get(to, "variants")
-                    .and_then(|v| v.as_arr())
+                let variants = t["variants"]
+                    .as_arr()
                     .ok_or("enum entry missing `variants`")?;
                 let mut vs = Vec::new();
                 for v in variants {
-                    let vo = v.as_obj().ok_or("variant entry is not an object")?;
                     vs.push((
-                        json::get_str(vo, "name")
-                            .ok_or("variant missing `name`")?
-                            .to_string(),
-                        json::get_num(vo, "tag").ok_or("variant missing `tag`")?,
+                        str_at(v, "name").ok_or("variant missing `name`")?,
+                        v["tag"].as_num().ok_or("variant missing `tag`")?.to_owned(),
                     ));
                 }
                 WireShape::Enum { variants: vs }
@@ -464,7 +429,7 @@ pub fn parse_lock(text: &str) -> Result<Vec<WireType>, String> {
             other => return Err(format!("unknown type kind `{other}`")),
         };
         out.push(WireType {
-            name: name.to_string(),
+            name,
             file: String::new(),
             line: 0,
             shape,
@@ -654,220 +619,4 @@ pub fn check(lock_text: Option<&str>, current: &[WireType]) -> Vec<Finding> {
         )));
     }
     out
-}
-
-/// A minimal JSON reader for the lock file (the workspace builds offline —
-/// no serde). Supports objects, arrays, strings, integers, booleans and
-/// null; numbers are kept as their literal text.
-pub mod json {
-    /// A parsed JSON value.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Number, kept as literal text.
-        Num(String),
-        /// String (escapes resolved).
-        Str(String),
-        /// Array.
-        Arr(Vec<Value>),
-        /// Object as ordered pairs.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// The object pairs, if this is an object.
-        pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Obj(p) => Some(p),
-                _ => None,
-            }
-        }
-
-        /// The elements, if this is an array.
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-    }
-
-    /// Looks up a key in object pairs.
-    pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-        obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    /// Looks up a string value.
-    pub fn get_str<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a str> {
-        match get(obj, key) {
-            Some(Value::Str(s)) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Looks up a number's literal text.
-    pub fn get_num(obj: &[(String, Value)], key: &str) -> Option<String> {
-        match get(obj, key) {
-            Some(Value::Num(n)) => Some(n.clone()),
-            _ => None,
-        }
-    }
-
-    /// Parses one JSON document.
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let chars: Vec<char> = text.chars().collect();
-        let mut pos = 0usize;
-        let v = value(&chars, &mut pos)?;
-        skip_ws(&chars, &mut pos);
-        if pos != chars.len() {
-            return Err(format!("trailing data at offset {pos}"));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(c: &[char], pos: &mut usize) {
-        while *pos < c.len() && c[*pos].is_whitespace() {
-            *pos += 1;
-        }
-    }
-
-    fn expect(c: &[char], pos: &mut usize, ch: char) -> Result<(), String> {
-        skip_ws(c, pos);
-        if c.get(*pos) == Some(&ch) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{ch}` at offset {pos}", pos = *pos))
-        }
-    }
-
-    fn value(c: &[char], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(c, pos);
-        match c.get(*pos) {
-            Some('{') => {
-                *pos += 1;
-                let mut pairs = Vec::new();
-                skip_ws(c, pos);
-                if c.get(*pos) == Some(&'}') {
-                    *pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                loop {
-                    skip_ws(c, pos);
-                    let k = string(c, pos)?;
-                    expect(c, pos, ':')?;
-                    let v = value(c, pos)?;
-                    pairs.push((k, v));
-                    skip_ws(c, pos);
-                    match c.get(*pos) {
-                        Some(',') => *pos += 1,
-                        Some('}') => {
-                            *pos += 1;
-                            return Ok(Value::Obj(pairs));
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at offset {}", *pos)),
-                    }
-                }
-            }
-            Some('[') => {
-                *pos += 1;
-                let mut items = Vec::new();
-                skip_ws(c, pos);
-                if c.get(*pos) == Some(&']') {
-                    *pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    items.push(value(c, pos)?);
-                    skip_ws(c, pos);
-                    match c.get(*pos) {
-                        Some(',') => *pos += 1,
-                        Some(']') => {
-                            *pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(format!("expected `,` or `]` at offset {}", *pos)),
-                    }
-                }
-            }
-            Some('"') => Ok(Value::Str(string(c, pos)?)),
-            Some('t') if c[*pos..].starts_with(&['t', 'r', 'u', 'e']) => {
-                *pos += 4;
-                Ok(Value::Bool(true))
-            }
-            Some('f') if c[*pos..].starts_with(&['f', 'a', 'l', 's', 'e']) => {
-                *pos += 5;
-                Ok(Value::Bool(false))
-            }
-            Some('n') if c[*pos..].starts_with(&['n', 'u', 'l', 'l']) => {
-                *pos += 4;
-                Ok(Value::Null)
-            }
-            Some(d) if d.is_ascii_digit() || *d == '-' => {
-                let start = *pos;
-                *pos += 1;
-                while *pos < c.len()
-                    && (c[*pos].is_ascii_digit()
-                        || c[*pos] == '.'
-                        || c[*pos] == 'e'
-                        || c[*pos] == 'E'
-                        || c[*pos] == '+'
-                        || c[*pos] == '-')
-                {
-                    *pos += 1;
-                }
-                Ok(Value::Num(c[start..*pos].iter().collect()))
-            }
-            _ => Err(format!("unexpected character at offset {}", *pos)),
-        }
-    }
-
-    fn string(c: &[char], pos: &mut usize) -> Result<String, String> {
-        if c.get(*pos) != Some(&'"') {
-            return Err(format!("expected string at offset {}", *pos));
-        }
-        *pos += 1;
-        let mut out = String::new();
-        while *pos < c.len() {
-            match c[*pos] {
-                '"' => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                '\\' => {
-                    *pos += 1;
-                    match c.get(*pos) {
-                        Some('"') => out.push('"'),
-                        Some('\\') => out.push('\\'),
-                        Some('/') => out.push('/'),
-                        Some('n') => out.push('\n'),
-                        Some('t') => out.push('\t'),
-                        Some('r') => out.push('\r'),
-                        Some('b') => out.push('\u{8}'),
-                        Some('f') => out.push('\u{c}'),
-                        Some('u') => {
-                            let hex: String = c
-                                .get(*pos + 1..*pos + 5)
-                                .map(|s| s.iter().collect())
-                                .unwrap_or_default();
-                            let code = u32::from_str_radix(&hex, 16)
-                                .map_err(|_| format!("bad \\u escape at offset {}", *pos))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {}", *pos)),
-                    }
-                    *pos += 1;
-                }
-                ch => {
-                    out.push(ch);
-                    *pos += 1;
-                }
-            }
-        }
-        Err("unterminated string".to_string())
-    }
 }

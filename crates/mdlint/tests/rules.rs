@@ -202,7 +202,7 @@ fn report_is_valid_shape_and_sorted_fields() {
     apply_allowlist(&mut findings, &entries);
     let json = render_report(&findings);
     assert!(json.contains("\"schema\": \"mdlint-report-v2\""));
-    assert!(json.contains("\"counts\": { \"total\": 4, \"allowed\": 4, \"unallowed\": 0 }"));
+    assert!(json.contains("\"counts\": {\"total\": 4, \"allowed\": 4, \"unallowed\": 0}"));
     assert!(json.contains("\"rule\": \"R3\""));
     assert!(json.contains("\"reason\": \"all of it\""));
     // Snippets embed quotes from source; they must be escaped.

@@ -14,9 +14,10 @@
 //! * [`FaultInjector`] — opt-in, seeded network fault injection (per-link
 //!   drops, transient link-down windows, gateway outage).
 //! * [`MetricsRegistry`] and [`Trace`] — measurement and narration.
-//! * [`Telemetry`] — span-based profiling on the simulated clock, with
-//!   JSONL and Chrome trace-event (Perfetto) exporters, plus an opt-in
-//!   bounded tail-based sampler ([`Telemetry::sampled`]).
+//! * [`Telemetry`] — span-based profiling on the simulated clock, plus an
+//!   opt-in bounded tail-based sampler ([`Telemetry::sampled`]). The crate
+//!   keeps no JSON code: `mdagent-bench` exports spans as JSONL and
+//!   Chrome trace-event (Perfetto) documents through `mdagent-json`.
 //! * [`SloMonitor`] — rolling-window service-level objectives with
 //!   multi-window burn-rate alert edges.
 //!

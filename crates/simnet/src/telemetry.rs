@@ -41,20 +41,18 @@
 //! (the eviction/drop internals `finalize_trace`, `evict_oldest_trace`
 //! and `buffered_span_mut` are likewise R4-confined to this module).
 //!
-//! Two exporters turn a finished run into artifacts:
-//! [`Telemetry::export_jsonl`] (one JSON object per line: spans then trace
-//! events) and [`Telemetry::export_chrome`] (Chrome trace-event JSON that
-//! loads directly in Perfetto / `chrome://tracing`).
+//! The collector keeps no export format: the JSONL and Chrome trace
+//! exporters live with the artifacts they write, in `mdagent-bench`, over
+//! [`Telemetry::spans`], [`Telemetry::root_of`] and
+//! [`Telemetry::sampler_stats`].
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
-use std::fmt::Write as _;
 
 use mdagent_fx::FxHashMap;
 
 use crate::time::{SimDuration, SimTime};
-use crate::trace::Trace;
 
 /// Handle to a span inside one [`Telemetry`] collector.
 ///
@@ -151,20 +149,6 @@ pub enum AttrValue {
     F64(f64),
     /// Flag.
     Bool(bool),
-}
-
-impl AttrValue {
-    /// Renders the value as a JSON fragment.
-    fn to_json(&self) -> String {
-        match self {
-            AttrValue::Str(s) => format!("\"{}\"", json_escape(s)),
-            AttrValue::U64(v) => v.to_string(),
-            AttrValue::I64(v) => v.to_string(),
-            AttrValue::F64(v) if v.is_finite() => format!("{v}"),
-            AttrValue::F64(_) => "null".to_owned(),
-            AttrValue::Bool(b) => b.to_string(),
-        }
-    }
 }
 
 impl From<&'static str> for AttrValue {
@@ -824,113 +808,6 @@ impl Telemetry {
         }
     }
 
-    /// Exports spans and trace events as a JSONL event log: one JSON
-    /// object per line, spans first (creation order) then trace events
-    /// (recording order). A sampled collector appends one final
-    /// `{"type":"sampler",...}` accounting line so truncation is visible
-    /// in the artifact itself.
-    pub fn export_jsonl(&self, trace: &Trace) -> String {
-        let mut out = String::new();
-        for span in &self.spans {
-            out.push_str("{\"type\":\"span\",\"id\":");
-            let _ = write!(out, "{}", span.id.raw());
-            out.push_str(",\"parent\":");
-            match span.parent {
-                Some(p) => {
-                    let _ = write!(out, "{}", p.raw());
-                }
-                None => out.push_str("null"),
-            }
-            let _ = write!(
-                out,
-                ",\"name\":\"{}\",\"start_us\":{}",
-                json_escape(&span.name),
-                span.start.as_micros()
-            );
-            out.push_str(",\"end_us\":");
-            match span.end {
-                Some(e) => {
-                    let _ = write!(out, "{}", e.as_micros());
-                }
-                None => out.push_str("null"),
-            }
-            out.push_str(",\"attrs\":");
-            push_attrs_json(&mut out, &span.attrs);
-            out.push_str("}\n");
-        }
-        for entry in trace.entries() {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"event\",\"at_us\":{},\"category\":\"{}\",\"kind\":\"{}\",\"message\":\"{}\"}}",
-                entry.at.as_micros(),
-                entry.category,
-                entry.event.kind(),
-                json_escape(&entry.message())
-            );
-        }
-        if let Some(stats) = self.sampler_stats() {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"sampler\",\"spans_opened\":{},\"spans_kept\":{},\"spans_dropped\":{},\"spans_buffered\":{},\"buffered_peak\":{},\"traces_started\":{},\"traces_kept\":{},\"traces_dropped\":{},\"traces_evicted\":{},\"unaccounted\":{}}}",
-                stats.spans_opened,
-                stats.spans_kept,
-                stats.spans_dropped,
-                stats.spans_buffered,
-                stats.buffered_peak,
-                stats.traces_started,
-                stats.traces_kept,
-                stats.traces_dropped,
-                stats.traces_evicted,
-                stats.unaccounted()
-            );
-        }
-        out
-    }
-
-    /// Exports spans and trace events as Chrome trace-event JSON
-    /// (loadable in Perfetto or `chrome://tracing`).
-    ///
-    /// Spans become complete events (`"ph":"X"`, microsecond `ts`/`dur`)
-    /// and trace entries become instant events (`"ph":"i"`). Each span
-    /// tree gets its own track: `tid` is the root ancestor's span id, so
-    /// concurrent migrations render on separate rows.
-    pub fn export_chrome(&self, trace: &Trace) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        for span in &self.spans {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\"args\":",
-                json_escape(&span.name),
-                span.start.as_micros(),
-                span.duration_micros(),
-                self.root_of(span.id).raw()
-            );
-            push_attrs_json(&mut out, &span.attrs);
-            out.push('}');
-        }
-        for entry in trace.entries() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"g\",\"ts\":{},\"pid\":1,\"tid\":0,\"args\":{{\"kind\":\"{}\"}}}}",
-                json_escape(&entry.message()),
-                entry.category,
-                entry.at.as_micros(),
-                entry.event.kind()
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-
     /// Walks parents up to the root ancestor of `id` — the trace id used
     /// as the Chrome track and for exemplar links in `OBS_report.json`.
     pub fn root_of(&self, id: SpanId) -> SpanId {
@@ -956,41 +833,9 @@ fn keep_coin(seed: u64, root_id: u32) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Appends `attrs` as a JSON object to `out`.
-fn push_attrs_json(out: &mut String, attrs: &[(&'static str, AttrValue)]) {
-    out.push('{');
-    for (i, (key, value)) in attrs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{}", json_escape(key), value.to_json());
-    }
-    out.push('}');
-}
-
-/// Escapes a string for embedding inside JSON double quotes.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceCategory;
 
     #[test]
     fn spans_nest_and_close() {
@@ -1033,54 +878,6 @@ mod tests {
         tel.end(id, SimTime::from_millis(9)); // second end ignored
         let span = tel.span(id).unwrap();
         assert_eq!(span.end, Some(SimTime::from_millis(5)));
-    }
-
-    #[test]
-    fn jsonl_export_has_one_object_per_line() {
-        let mut tel = Telemetry::new();
-        let root = tel.open("migration", None, SimTime::ZERO);
-        tel.attr(root.id(), "app", "app-0".to_owned());
-        root.close(&mut tel, SimTime::from_millis(2));
-        let mut trace = Trace::new();
-        trace.record(
-            SimTime::from_millis(1),
-            TraceCategory::Agent,
-            "hi \"there\"",
-        );
-        let jsonl = tel.export_jsonl(&trace);
-        let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"type\":\"span\""));
-        assert!(lines[0].contains("\"name\":\"migration\""));
-        assert!(lines[0].contains("\"app\":\"app-0\""));
-        assert!(lines[1].contains("\"type\":\"event\""));
-        assert!(lines[1].contains("hi \\\"there\\\""));
-    }
-
-    #[test]
-    fn chrome_export_uses_root_track() {
-        let mut tel = Telemetry::new();
-        let root = tel.open("migration", None, SimTime::ZERO).detach();
-        let child = tel.record_span(
-            "migration.suspend",
-            Some(root),
-            SimTime::ZERO,
-            SimTime::from_millis(1),
-        );
-        let _ = child;
-        tel.end(root, SimTime::from_millis(2));
-        let json = tel.export_chrome(&Trace::new());
-        assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains("\"ph\":\"X\""));
-        // Both spans share the root's track id.
-        assert_eq!(json.matches(&format!("\"tid\":{}", root.raw())).count(), 2);
-    }
-
-    #[test]
-    fn escaping_handles_control_chars() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     fn sampler(keep_fraction: f64, ring_capacity: usize) -> Telemetry {
@@ -1265,16 +1062,5 @@ mod tests {
         assert_eq!(reborn.raw(), 0);
         assert_eq!(tel.spans()[0].id, reborn);
         assert!(tel.is_sampled() && tel.is_enabled());
-    }
-
-    #[test]
-    fn sampled_jsonl_has_accounting_footer() {
-        let mut tel = sampler(0.0, 16);
-        let _ = run_trace(&mut tel, 0, None);
-        let jsonl = tel.export_jsonl(&Trace::new());
-        let last = jsonl.lines().last().unwrap();
-        assert!(last.starts_with("{\"type\":\"sampler\""));
-        assert!(last.contains("\"spans_dropped\":3"));
-        assert!(last.contains("\"unaccounted\":0"));
     }
 }

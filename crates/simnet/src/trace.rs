@@ -251,7 +251,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// Stable machine-readable tag for this event kind (used by the
-    /// JSONL/Chrome exporters).
+    /// JSONL/Chrome trace exporters in `mdagent-bench`).
     pub fn kind(&self) -> &'static str {
         match self {
             TraceEvent::Deployed { .. } => "deployed",
