@@ -13,9 +13,13 @@
 //!   timers/tickers, `suspend`/`resume`, and the two mobility primitives
 //!   the paper's taxonomy needs — [`Platform::move_agent`] (follow-me /
 //!   cut-paste) and [`Platform::clone_agent`] (clone-dispatch /
-//!   copy-paste). Agents in transit buffer their messages and check in at
-//!   the destination, where a registered factory reconstructs them from
-//!   their snapshot.
+//!   copy-paste). Both are fronts over one departure: a move takes the
+//!   agent off the source, a clone leaves it running and pre-creates the
+//!   clone's slot at the destination. Agents in transit buffer their
+//!   messages and check in at the destination, where a registered factory
+//!   reconstructs them from their snapshot. A departure requested inside
+//!   the agent's own callback runs when the callback returns; if it then
+//!   fails, the world hears of it as a [`DeferredFailure`].
 //! * [`Directory`] — the DF (yellow pages).
 //! * [`Fsm`] — `FSMBehaviour`-style helper for protocol agents.
 //!

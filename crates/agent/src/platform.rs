@@ -103,7 +103,7 @@ pub trait PlatformHost: Sized + 'static {
     }
 }
 
-/// A deferred lifecycle operation that failed when its queue drained.
+/// A deferred departure that failed when its queue drained.
 ///
 /// Moves and clones requested while an agent is checked out (inside one
 /// of its own callbacks) are queued and report `Ok` to the caller; the
@@ -111,19 +111,11 @@ pub trait PlatformHost: Sized + 'static {
 /// point is reported to the world through
 /// [`PlatformHost::deferred_op_failed`].
 #[derive(Debug)]
-pub enum DeferredFailure {
-    /// A queued move never left the source.
-    Move {
-        /// Why the move could not start.
-        error: AgentError,
-    },
-    /// A queued clone never materialized at the destination.
-    Clone {
-        /// The clone id that was promised to the requester.
-        clone_id: AgentId,
-        /// Why the clone could not start.
-        error: AgentError,
-    },
+pub struct DeferredFailure {
+    /// The clone id promised to the requester, or `None` for a move.
+    pub clone_id: Option<AgentId>,
+    /// Why the departure could not start.
+    pub error: AgentError,
 }
 
 /// Factory reconstructing an agent from its snapshot after migration.
@@ -149,14 +141,10 @@ struct AgentSlot<W: PlatformHost> {
 }
 
 enum PendingOp {
-    Move {
+    Depart {
         dest: ContainerId,
         extra: u64,
-    },
-    Clone {
-        dest: ContainerId,
-        extra: u64,
-        clone_id: AgentId,
+        clone_id: Option<AgentId>,
     },
     Kill,
     Despawn,
@@ -740,8 +728,8 @@ impl<W: PlatformHost> Platform<W> {
     /// # Errors
     ///
     /// [`AgentError::UnknownAgent`], [`AgentError::UnknownContainer`],
-    /// [`AgentError::NotActive`], [`AgentError::NoFactory`] or
-    /// [`AgentError::NoRoute`].
+    /// [`AgentError::NotActive`], [`AgentError::NoFactory`],
+    /// [`AgentError::NoRoute`] or [`AgentError::LinkDown`].
     pub fn move_agent(
         world: &mut W,
         sim: &mut Simulator<W>,
@@ -749,22 +737,79 @@ impl<W: PlatformHost> Platform<W> {
         dest: ContainerId,
         extra_payload_bytes: u64,
     ) -> Result<SimDuration, AgentError> {
+        Self::depart(world, sim, id, dest, extra_payload_bytes, None)
+    }
+
+    /// Clones an agent to another container (clone-dispatch / copy-paste).
+    /// The original keeps running; the clone materializes at `dest` after
+    /// the transfer and starts with `Journey::Cloned`.
+    ///
+    /// Returns the clone's id and the simulated transfer duration.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`move_agent`](Self::move_agent), except that
+    /// only an active agent clones.
+    pub fn clone_agent(
+        world: &mut W,
+        sim: &mut Simulator<W>,
+        id: &AgentId,
+        dest: ContainerId,
+        extra_payload_bytes: u64,
+    ) -> Result<(AgentId, SimDuration), AgentError> {
+        let platform = world.platform_mut();
+        platform.next_clone += 1;
+        let clone_id = id.clone_name(platform.next_clone);
+        let duration = Self::depart(
+            world,
+            sim,
+            id,
+            dest,
+            extra_payload_bytes,
+            Some(clone_id.clone()),
+        )?;
+        Ok((clone_id, duration))
+    }
+
+    /// The one departure behind both mobility modes: route, snapshot, fault
+    /// check, and the check-in (or bounce) scheduled after the transfer.
+    /// With a `clone_id` the agent stays running at the source and the
+    /// clone's slot is pre-created at `dest` under that id (deferred clones
+    /// keep the id promised to the requester); without one the agent
+    /// itself leaves.
+    fn depart(
+        world: &mut W,
+        sim: &mut Simulator<W>,
+        id: &AgentId,
+        dest: ContainerId,
+        extra_payload_bytes: u64,
+        clone_id: Option<AgentId>,
+    ) -> Result<SimDuration, AgentError> {
         let platform = world.platform_mut();
         let dst_host = platform.container_host(dest)?;
         let slot = platform
             .slot_mut(id)
             .ok_or_else(|| AgentError::UnknownAgent(id.clone()))?;
         if slot.checked_out {
-            slot.pending.push_back(PendingOp::Move {
+            slot.pending.push_back(PendingOp::Depart {
                 dest,
                 extra: extra_payload_bytes,
+                clone_id,
             });
             // Duration is reported by the deferred execution; approximate
             // with zero here. Callers that need the real figure use the
             // trace/metrics, as the benchmarks do.
             return Ok(SimDuration::ZERO);
         }
-        if slot.state != LifecycleState::Active && slot.state != LifecycleState::Suspended {
+        // A suspended agent may move, but only an active one clones.
+        let may_leave = match clone_id {
+            None => matches!(
+                slot.state,
+                LifecycleState::Active | LifecycleState::Suspended
+            ),
+            Some(_) => slot.state == LifecycleState::Active,
+        };
+        if !may_leave {
             return Err(AgentError::NotActive(id.clone()));
         }
         let type_sym = slot.type_sym;
@@ -813,171 +858,73 @@ impl<W: PlatformHost> Platform<W> {
             return Err(AgentError::LinkDown(link));
         }
 
-        let slot = world
-            .platform_mut()
-            .slot_mut(id)
-            .ok_or_else(|| AgentError::UnknownAgent(id.clone()))?;
-        slot.state = LifecycleState::InTransit;
-        slot.agent = None;
-        let env = world.env_mut();
-        env.metrics.incr_static("platform.moves");
-        env.metrics.incr_by_static("platform.move_bytes", bytes);
-        Self::record_link_utilization(env, &transfer);
-        let now = sim.now();
-        env.trace.record_event(
-            now,
-            TraceCategory::Agent,
-            TraceEvent::CheckOut {
-                agent: id.to_string(),
-                src: src.to_string(),
-                dest: dest.to_string(),
-                bytes,
-            },
-        );
-
-        let id = id.clone();
-        if let Some(TransferFault::Dropped(link)) = fault {
-            // Lost in flight: the agent never arrives. After the wire time
-            // has elapsed it is restored from its departure snapshot at the
-            // source (its container never moved while in transit).
-            sim.schedule_in(total, move |w, sim| {
-                Self::bounce(w, sim, &id, link, snapshot, false);
-            });
-        } else {
-            sim.schedule_in(total, move |w, sim| {
-                Self::check_in(w, sim, &id, dest, src, snapshot, false);
-            });
-        }
-        Ok(total)
-    }
-
-    /// Clones an agent to another container (clone-dispatch / copy-paste).
-    /// The original keeps running; the clone materializes at `dest` after
-    /// the transfer and starts with `Journey::Cloned`.
-    ///
-    /// Returns the clone's id and the simulated transfer duration.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`move_agent`](Self::move_agent).
-    pub fn clone_agent(
-        world: &mut W,
-        sim: &mut Simulator<W>,
-        id: &AgentId,
-        dest: ContainerId,
-        extra_payload_bytes: u64,
-    ) -> Result<(AgentId, SimDuration), AgentError> {
         let platform = world.platform_mut();
-        platform.next_clone += 1;
-        let clone_id = id.clone_name(platform.next_clone);
-        let duration =
-            Self::clone_agent_as(world, sim, id, dest, extra_payload_bytes, clone_id.clone())?;
-        Ok((clone_id, duration))
-    }
-
-    /// Internal clone with a caller-chosen clone id, so deferred clones keep
-    /// the id that was promised to the requester.
-    fn clone_agent_as(
-        world: &mut W,
-        sim: &mut Simulator<W>,
-        id: &AgentId,
-        dest: ContainerId,
-        extra_payload_bytes: u64,
-        clone_id: AgentId,
-    ) -> Result<SimDuration, AgentError> {
-        let platform = world.platform_mut();
-        let dst_host = platform.container_host(dest)?;
-        let slot = platform
-            .slot_mut(id)
-            .ok_or_else(|| AgentError::UnknownAgent(id.clone()))?;
-        if slot.checked_out {
-            slot.pending.push_back(PendingOp::Clone {
-                dest,
-                extra: extra_payload_bytes,
-                clone_id,
-            });
-            return Ok(SimDuration::ZERO);
-        }
-        if slot.state != LifecycleState::Active {
-            return Err(AgentError::NotActive(id.clone()));
-        }
-        let type_sym = slot.type_sym;
-        if !platform.factories.contains_key(&type_sym) {
-            return Err(AgentError::NoFactory(
-                platform.type_names.resolve(type_sym).to_owned(),
-            ));
-        }
-        let slot = platform
-            .slot_mut(id)
-            .ok_or_else(|| AgentError::UnknownAgent(id.clone()))?;
-        let src = slot.container;
-        let Some(agent) = slot.agent.as_ref() else {
-            return Err(AgentError::NotActive(id.clone()));
+        let cloned = clone_id.is_some();
+        let arriving = match clone_id {
+            None => {
+                let slot = platform
+                    .slot_mut(id)
+                    .ok_or_else(|| AgentError::UnknownAgent(id.clone()))?;
+                slot.state = LifecycleState::InTransit;
+                slot.agent = None;
+                id.clone()
+            }
+            Some(clone_id) => {
+                // Pre-create the clone slot so messages sent to it
+                // meanwhile buffer.
+                platform.place(
+                    clone_id.clone(),
+                    AgentSlot {
+                        id: Rc::new(clone_id.clone()),
+                        container: dest,
+                        state: LifecycleState::InTransit,
+                        agent: None,
+                        checked_out: false,
+                        buffer: VecDeque::new(),
+                        pending: VecDeque::new(),
+                        type_sym,
+                    },
+                );
+                clone_id
+            }
         };
-        let snapshot = agent.snapshot();
-        let src_host = platform.container_host(src)?;
-        let bytes = snapshot.len() as u64 + extra_payload_bytes + AGENT_FRAME_BYTES;
-        let transfer = world
-            .env()
-            .topology
-            .pipelined_transfer(src_host, dst_host, bytes, DEFAULT_CHUNK_BYTES)
-            .map_err(|_| AgentError::NoRoute(src, dest))?;
-        let total = MIGRATION_SETUP + transfer.elapsed;
-        let now = sim.now();
-        let fault = world.env_mut().assess_fault(src_host, dst_host, now);
-        if let Some(TransferFault::LinkDown(link)) = fault {
-            let env = world.env_mut();
-            env.metrics.incr_static("platform.link_down_blocks");
-            env.trace.record_event(
-                now,
-                TraceCategory::Agent,
-                TraceEvent::TransferBlocked {
-                    agent: id.to_string(),
-                    link: link.0,
-                },
-            );
-            return Err(AgentError::LinkDown(link));
-        }
         let env = world.env_mut();
-        env.metrics.incr_static("platform.clones");
-        env.metrics.incr_by_static("platform.clone_bytes", bytes);
+        let (count, byte_count, event) = if cloned {
+            (
+                "platform.clones",
+                "platform.clone_bytes",
+                TraceEvent::CloneDispatch {
+                    agent: id.to_string(),
+                    clone: arriving.to_string(),
+                    dest: dest.to_string(),
+                    bytes,
+                },
+            )
+        } else {
+            (
+                "platform.moves",
+                "platform.move_bytes",
+                TraceEvent::CheckOut {
+                    agent: id.to_string(),
+                    src: src.to_string(),
+                    dest: dest.to_string(),
+                    bytes,
+                },
+            )
+        };
+        env.metrics.incr_static(count);
+        env.metrics.incr_by_static(byte_count, bytes);
         Self::record_link_utilization(env, &transfer);
-        let now = sim.now();
-        env.trace.record_event(
-            now,
-            TraceCategory::Agent,
-            TraceEvent::CloneDispatch {
-                agent: id.to_string(),
-                clone: clone_id.to_string(),
-                dest: dest.to_string(),
-                bytes,
-            },
-        );
-        // Pre-create the clone slot so messages sent to it meanwhile buffer.
-        world.platform_mut().place(
-            clone_id.clone(),
-            AgentSlot {
-                id: Rc::new(clone_id.clone()),
-                container: dest,
-                state: LifecycleState::InTransit,
-                agent: None,
-                checked_out: false,
-                buffer: VecDeque::new(),
-                pending: VecDeque::new(),
-                type_sym,
-            },
-        );
-        let arriving = clone_id;
+        env.trace.record_event(now, TraceCategory::Agent, event);
+
         if let Some(TransferFault::Dropped(link)) = fault {
-            // A lost clone simply never materializes; the original keeps
-            // running and the pre-created slot is reaped when the wire time
-            // has elapsed.
+            // Lost in flight: the agent never arrives (see `bounce`).
             sim.schedule_in(total, move |w, sim| {
-                Self::bounce(w, sim, &arriving, link, snapshot, true);
+                Self::bounce(w, sim, &arriving, link, snapshot, cloned);
             });
         } else {
             sim.schedule_in(total, move |w, sim| {
-                Self::check_in(w, sim, &arriving, dest, src, snapshot, true);
+                Self::check_in(w, sim, &arriving, dest, src, snapshot, cloned);
             });
         }
         Ok(total)
@@ -1235,46 +1182,32 @@ impl<W: PlatformHost> Platform<W> {
             match op {
                 PendingOp::Kill => Self::kill(world, id),
                 PendingOp::Despawn => Self::despawn(world, id),
-                PendingOp::Move { dest, extra } => {
-                    if let Err(e) = Self::move_agent(world, sim, id, dest, extra) {
-                        world
-                            .env_mut()
-                            .metrics
-                            .incr_static("platform.pending_move_failed");
-                        let now = sim.now();
-                        world.env_mut().trace.record(
-                            now,
-                            TraceCategory::Agent,
-                            format!("deferred move of {id} failed: {e}"),
-                        );
-                        W::deferred_op_failed(world, sim, id, DeferredFailure::Move { error: e });
-                    }
-                }
-                PendingOp::Clone {
+                PendingOp::Depart {
                     dest,
                     extra,
                     clone_id,
-                } => match Self::clone_agent_as(world, sim, id, dest, extra, clone_id.clone()) {
-                    Ok(_) => {}
-                    Err(e) => {
+                } => {
+                    if let Err(error) = Self::depart(world, sim, id, dest, extra, clone_id.clone())
+                    {
+                        let (count, note) = match &clone_id {
+                            None => (
+                                "platform.pending_move_failed",
+                                format!("deferred move of {id} failed: {error}"),
+                            ),
+                            Some(clone_id) => (
+                                "platform.pending_clone_failed",
+                                format!("deferred clone {clone_id} of {id} failed: {error}"),
+                            ),
+                        };
+                        world.env_mut().metrics.incr_static(count);
+                        let now = sim.now();
                         world
                             .env_mut()
-                            .metrics
-                            .incr_static("platform.pending_clone_failed");
-                        let now = sim.now();
-                        world.env_mut().trace.record(
-                            now,
-                            TraceCategory::Agent,
-                            format!("deferred clone {clone_id} of {id} failed: {e}"),
-                        );
-                        W::deferred_op_failed(
-                            world,
-                            sim,
-                            id,
-                            DeferredFailure::Clone { clone_id, error: e },
-                        );
+                            .trace
+                            .record(now, TraceCategory::Agent, note);
+                        W::deferred_op_failed(world, sim, id, DeferredFailure { clone_id, error });
                     }
-                },
+                }
             }
         }
     }

@@ -93,7 +93,7 @@ proptest! {
     /// interleaving of sends, moves, clones, suspends and resumes.
     #[test]
     fn messages_are_conserved(
-        ops in proptest::collection::vec((0u8..6, 0usize..3, any::<bool>()), 1..40),
+        ops in proptest::collection::vec((0u8..7, 0usize..3, any::<bool>()), 1..40),
     ) {
         let (mut w, mut sim, containers) = build(3);
         let mut agents: Vec<AgentId> = Vec::new();
@@ -106,6 +106,7 @@ proptest! {
         let ghost = AgentId::new("ghost", "prop");
         sim.run(&mut w);
         let mut seq = 0u64;
+        let mut clones: Vec<AgentId> = Vec::new();
         for (op, target, flag) in &ops {
             let agent = agents[*target].clone();
             match op {
@@ -124,8 +125,16 @@ proptest! {
                 4 => {
                     let _ = Platform::suspend(&mut w, &agent);
                 }
-                _ => {
+                5 => {
                     let _ = Platform::resume(&mut w, &mut sim, &agent);
+                }
+                _ => {
+                    let dest = containers[(*target + 2) % 3];
+                    if let Ok((clone, _)) =
+                        Platform::clone_agent(&mut w, &mut sim, &agent, dest, 0)
+                    {
+                        clones.push(clone);
+                    }
                 }
             }
         }
@@ -144,8 +153,9 @@ proptest! {
             m.counter("acl.delivered") + m.counter("acl.dead_letter"),
             "conservation violated"
         );
-        // Every live agent is Active at the end.
-        for a in &agents {
+        // Every live agent, and every clone that was dispatched, is
+        // Active at the end.
+        for a in agents.iter().chain(&clones) {
             prop_assert_eq!(w.platform.agent_state(a), Some(LifecycleState::Active));
         }
     }

@@ -2,8 +2,10 @@
 //!
 //! The simulated-clock artifacts must equal a fresh run byte for byte; a
 //! change that moves one regenerates it with `figures` and commits it in
-//! the same change. The wall-clock artifacts cannot be rerun here, so they
-//! only have to be in the one writer's layout.
+//! the same change. That includes `FIGURES.txt`, the printed Fig. 8–10
+//! and ablation tables (`figures fig8 fig9 fig10 ablations > FIGURES.txt`).
+//! The wall-clock artifacts cannot be rerun here, so they only have to be
+//! in the one writer's layout.
 
 use std::path::{Path, PathBuf};
 
@@ -36,6 +38,21 @@ fn simulated_clock_artifacts_regenerate_byte_for_byte() {
     assert_current("BENCH_migration.json", &bench_migration_json());
     assert_current("BENCH_faults.json", &bench_faults_json());
     assert_current("OBS_report.json", &obs_report_json());
+}
+
+#[test]
+fn figure_tables_regenerate_byte_for_byte() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["fig8", "fig9", "fig10", "ablations"])
+        .output()
+        .expect("figures runs");
+    assert!(
+        out.status.success(),
+        "figures failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("figures prints UTF-8");
+    assert_current("FIGURES.txt", &stdout);
 }
 
 #[test]

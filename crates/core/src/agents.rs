@@ -2,9 +2,7 @@
 //! that wraps and carries application components, and the autonomous agent
 //! (AA) that watches context and decides migrations.
 
-use mdagent_agent::{
-    AclMessage, Agent, AgentId, Cx, Journey, Performative, Platform, PlatformHost,
-};
+use mdagent_agent::{AclMessage, Agent, Cx, Journey, Performative, Platform, PlatformHost};
 use mdagent_context::topics;
 use mdagent_simnet::{SimDuration, SpaceId, SpanId, TraceCategory, TraceEvent};
 use mdagent_wire::{impl_wire_struct, to_bytes};
@@ -166,9 +164,7 @@ impl MobileAgent {
                 let id = cx.id.clone();
                 match Platform::clone_agent(cx.world, cx.sim, &id, container, 0) {
                     Ok((clone_id, _)) => {
-                        Middleware::note_clone_dispatched(
-                            cx.world, cx.sim, &id, clone_id, dest_host,
-                        );
+                        Middleware::note_clone_dispatched(cx.world, cx.sim, &id, clone_id);
                         // Drop the cargo copy once the (deferred) clone
                         // snapshot has been taken.
                         Platform::set_timer(
@@ -205,15 +201,9 @@ impl Agent<Middleware> for MobileAgent {
     fn on_start(&mut self, journey: Journey, cx: Cx<'_, Middleware>) {
         match journey {
             Journey::Born => {}
-            Journey::Moved { .. } => {
+            Journey::Moved { .. } | Journey::Cloned { .. } => {
                 if let Some(cargo) = self.cargo.take() {
-                    Middleware::arrive_follow_me(cx.world, cx.sim, cx.id, cargo);
-                }
-            }
-            Journey::Cloned { .. } => {
-                if let Some(cargo) = self.cargo.take() {
-                    if let Some(replica) = Middleware::arrive_clone(cx.world, cx.sim, cx.id, cargo)
-                    {
+                    if let Some(replica) = Middleware::arrive(cx.world, cx.sim, cx.id, cargo) {
                         self.app_raw = replica.0;
                     }
                 }
@@ -278,7 +268,7 @@ impl Agent<Middleware> for MobileAgent {
                 if cx.world.app(app_id).map(|a| a.host) == Ok(dest) {
                     self.cargo = None;
                     cx.world.env_mut().metrics.incr_static("ma.retry_obsolete");
-                    Middleware::clear_in_flight(cx.world, cx.id);
+                    cx.world.remove_in_flight(cx.id);
                     return;
                 }
                 cx.world
@@ -304,7 +294,7 @@ impl Agent<Middleware> for MobileAgent {
     fn on_timer(&mut self, tag: u64, cx: Cx<'_, Middleware>) {
         if tag == TAG_CLEAR_CARGO {
             self.cargo = None;
-            Middleware::clear_in_flight(cx.world, cx.id);
+            cx.world.remove_in_flight(cx.id);
         }
     }
 }
@@ -681,12 +671,6 @@ impl Agent<Middleware> for AutonomousAgent {
         } else if notice.topic == topics::USER_INDICATION && notice.user_raw == self.user_raw {
             self.handle_indication(&notice, &mut cx);
         }
-    }
-}
-
-impl Middleware {
-    pub(crate) fn clear_in_flight(world: &mut Middleware, ma: &AgentId) {
-        world.remove_in_flight(ma);
     }
 }
 

@@ -210,7 +210,7 @@ mod tests {
         /// Delivers a tapped cargo to its destination once more.
         fn redeliver(&mut self, index: usize) {
             let (ma, cargo) = self.tap.borrow()[index].clone();
-            Middleware::arrive_follow_me(&mut self.world, &mut self.sim, &ma, cargo);
+            Middleware::arrive(&mut self.world, &mut self.sim, &ma, cargo);
             self.sim.run(&mut self.world);
         }
 

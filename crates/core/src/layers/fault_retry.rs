@@ -14,11 +14,9 @@
 use mdagent_agent::{
     AclMessage, AgentId, LifecycleState, Performative, Platform, AGENT_FRAME_BYTES, MIGRATION_SETUP,
 };
-use mdagent_simnet::{
-    CpuFactor, HostId, SimDuration, SimTime, Simulator, SpanId, TraceCategory, TraceEvent,
-};
+use mdagent_simnet::{CpuFactor, HostId, SimDuration, Simulator, TraceCategory, TraceEvent};
 
-use crate::app::{AppId, AppState};
+use crate::app::AppState;
 use crate::messages::{ontologies, RetryNotice};
 use crate::middleware::Middleware;
 use crate::observability::SLO_MIGRATION_COMPLETION;
@@ -100,97 +98,47 @@ impl MigrationLayer for FaultRetryLayer {
 }
 
 impl Middleware {
-    /// The suspend cost recorded for an MA currently in flight (clone
-    /// bookkeeping). The span pair is (migration root, open migrate child),
-    /// handed over to the clone's in-flight record by
-    /// [`Middleware::note_clone_departure`].
-    fn in_flight_suspend(
-        &self,
-        ma: &AgentId,
-    ) -> Option<(AppId, SimDuration, u64, (SpanId, SpanId))> {
-        self.in_flight
-            .get(ma)
-            .map(|f| (f.app, f.suspend, f.shipped_bytes, (f.span, f.migrate_span)))
-    }
-
-    /// Notes a clone departure for timing purposes (called by the source
-    /// MA when it dispatches a clone). Returns the watchdog delay the
-    /// caller should arm for the clone's flight — `None` when faults are
-    /// off (no watchdog; nothing extra is scheduled).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn note_clone_departure(
-        world: &mut Middleware,
-        now: SimTime,
-        clone_id: AgentId,
-        app: AppId,
-        dest_host: HostId,
-        shipped_bytes: u64,
-        suspend: SimDuration,
-        spans: (SpanId, SpanId),
-    ) -> Option<SimDuration> {
-        // The migration root and open migrate spans travel with the clone:
-        // the original MA's bookkeeping is cleared by the caller (which
-        // never ends spans), and the clone's arrival ends both at the
-        // destination.
-        let (span, migrate_span) = spans;
-        let src_host = world
-            .apps
-            .get(app.0 as usize)
-            .map(|a| a.host)
-            .unwrap_or(dest_host);
-        let timeout = if world.env.faults.enabled() {
-            transfer_window(world, src_host, dest_host, shipped_bytes)
-        } else {
-            SimDuration::ZERO
-        };
-        world.in_flight.insert(
-            clone_id,
-            InFlight {
-                app,
-                suspend,
-                departed_at: now,
-                shipped_bytes,
-                remote_bytes: 0,
-                span,
-                migrate_span,
-                attempts: 1,
-                cloned: true,
-                src_host,
-                dest_host,
-                started_at: now,
-                timeout,
-            },
-        );
-        world.env.faults.enabled().then_some(timeout)
-    }
-
-    /// The clone slot was created: hand the source MA's flight bookkeeping
-    /// over to the clone's id and guard the clone's transfer with a
-    /// watchdog (faults on only). The unconfined front the mobile agent
-    /// calls, keeping the watchdog machinery inside the layer modules.
+    /// The clone slot was created: copies the source MA's flight record
+    /// under the clone id (departing now with nothing streamed, from the
+    /// app's current host, with its transfer window recomputed) and
+    /// guards the clone with a watchdog armed from that record (faults on
+    /// only).
+    /// The migration root and open migrate spans travel with the clone:
+    /// the source's record is cleared by its cargo timer (which never ends
+    /// spans), and the clone's arrival ends both at the destination. The
+    /// unconfined front the mobile agent calls, keeping the watchdog
+    /// machinery inside the layer modules.
     pub(crate) fn note_clone_dispatched(
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         source_ma: &AgentId,
         clone_id: AgentId,
-        dest_host: HostId,
     ) {
-        let now = sim.now();
-        let Some((app, suspend, shipped, spans)) = world.in_flight_suspend(source_ma) else {
+        let Some(source) = world.in_flight.get(source_ma) else {
             return;
         };
-        let watchdog = Middleware::note_clone_departure(
-            world,
-            now,
-            clone_id.clone(),
-            app,
-            dest_host,
-            shipped,
-            suspend,
-            spans,
-        );
-        if let Some(delay) = watchdog {
-            Middleware::arm_watchdog(sim, clone_id, 1, delay);
+        let src_host = world
+            .apps
+            .get(source.app.0 as usize)
+            .map_or(source.dest_host, |a| a.host);
+        let faults = world.env.faults.enabled();
+        let timeout = if faults {
+            transfer_window(world, src_host, source.dest_host, source.shipped_bytes)
+        } else {
+            SimDuration::ZERO
+        };
+        let now = sim.now();
+        let flight = InFlight {
+            departed_at: now,
+            started_at: now,
+            remote_bytes: 0,
+            src_host,
+            timeout,
+            ..source.clone()
+        };
+        world.in_flight.insert(clone_id.clone(), flight);
+        if faults {
+            Middleware::arm_watchdog(sim, clone_id, 1, timeout);
         }
     }
 
@@ -218,20 +166,20 @@ impl Middleware {
         ma: &AgentId,
         failure: mdagent_agent::DeferredFailure,
     ) {
-        match failure {
-            mdagent_agent::DeferredFailure::Move { error } => {
+        match failure.clone_id {
+            None => {
                 // A link-down refusal while faults are on is the armed
                 // watchdog's business: its retry nudges the agent again
                 // once the outage clears or attempts run out. Every other
                 // failure has no guardian and must roll back here.
                 if world.env.faults.enabled()
-                    && matches!(error, mdagent_agent::AgentError::LinkDown(_))
+                    && matches!(failure.error, mdagent_agent::AgentError::LinkDown(_))
                 {
                     return;
                 }
                 Middleware::abort_departure(world, sim, ma);
             }
-            mdagent_agent::DeferredFailure::Clone { clone_id, .. } => {
+            Some(clone_id) => {
                 // The clone's flight record owns the telemetry spans; the
                 // source entry is transient bookkeeping the cargo timer
                 // clears without closing them. Aborting now (instead of

@@ -105,38 +105,27 @@ impl MigrationLayer for TelemetryLayer {
     ) {
         let _ = arrival;
         let now = sim.now();
-        match cargo.plan.mode {
-            MobilityMode::FollowMe => {
-                let Some(flight) = flight else {
-                    return;
-                };
+        match flight {
+            Some(flight) => {
                 world.env.telemetry.end(flight.migrate_span, now);
                 Middleware::ctx_span(world, cargo.trace_ctx, "migration.checkin", now, now);
                 if flight.attempts > 1 {
                     // Mark retried-but-successful migrations on the root so
-                    // the tail sampler always keeps their traces.
+                    // the tail sampler always keeps their traces. A clone
+                    // is never retried.
                     world
                         .env
                         .telemetry
                         .attr(flight.span, "attempts", u64::from(flight.attempts));
                 }
             }
-            MobilityMode::CloneDispatch => match flight {
-                Some(f) => {
-                    world.env.telemetry.end(f.migrate_span, now);
-                    Middleware::ctx_span(world, cargo.trace_ctx, "migration.checkin", now, now);
-                }
-                None => {
-                    world.env.metrics.incr_static("migration.orphan_arrivals");
-                    Middleware::ctx_span(
-                        world,
-                        cargo.trace_ctx,
-                        "migration.orphan_arrival",
-                        now,
-                        now,
-                    );
-                }
-            },
+            // Only a replica checks in without a flight record:
+            // `Middleware::arrive` drops a follow-me arrival that has none
+            // before this hook runs.
+            None => {
+                world.env.metrics.incr_static("migration.orphan_arrivals");
+                Middleware::ctx_span(world, cargo.trace_ctx, "migration.orphan_arrival", now, now);
+            }
         }
     }
 

@@ -72,7 +72,7 @@ pub struct Middleware {
     /// Snapshot manager (base level of every application).
     pub snapshots: SnapshotManager,
     /// Cost constants.
-    pub cost_model: CostModel,
+    pub(crate) cost_model: CostModel,
     /// Deterministic randomness.
     pub rng: SimRng,
     pub(crate) apps: Vec<Application>,
@@ -145,7 +145,6 @@ pub struct MiddlewareBuilder {
     host_clock_skews: FxHashMap<HostId, i64>,
     seed: u64,
     sense_period: SimDuration,
-    cost_model: CostModel,
     data_path: DataPathOptions,
     faults: FaultOptions,
     observability: ObservabilityOptions,
@@ -171,7 +170,6 @@ impl MiddlewareBuilder {
             host_clock_skews: FxHashMap::default(),
             seed: 42,
             sense_period: SimDuration::from_millis(200),
-            cost_model: CostModel::default(),
             data_path: DataPathOptions::default(),
             faults: FaultOptions::default(),
             observability: ObservabilityOptions::default(),
@@ -268,12 +266,6 @@ impl MiddlewareBuilder {
     /// Sets the sensing period.
     pub fn sense_period(&mut self, period: SimDuration) -> &mut Self {
         self.sense_period = period;
-        self
-    }
-
-    /// Overrides the cost model.
-    pub fn cost_model(&mut self, model: CostModel) -> &mut Self {
-        self.cost_model = model;
         self
     }
 
@@ -376,7 +368,7 @@ impl MiddlewareBuilder {
             kernel: ContextKernel::new(field),
             federation,
             snapshots: SnapshotManager::new(8),
-            cost_model: self.cost_model,
+            cost_model: CostModel::default(),
             rng: SimRng::seed_from(self.seed),
             apps: Vec::new(),
             containers,
@@ -1336,15 +1328,19 @@ impl Middleware {
         Ok(())
     }
 
-    /// Phase 3 for follow-me: the MA has checked in at the destination;
-    /// restore, rebind, adapt and resume the application there.
+    /// Phase 3: the MA has checked in at the destination. Follow-me
+    /// restores the application there, then rebinds, adapts and
+    /// re-registers it; clone-dispatch installs a replica, linked for
+    /// synchronization with its original, which keeps running. Returns the
+    /// replica a clone-dispatch arrival installed.
     // mdlint::entry
-    pub(crate) fn arrive_follow_me(
+    pub(crate) fn arrive(
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         ma: &AgentId,
         cargo: Cargo,
-    ) {
+    ) -> Option<AppId> {
+        let mode = cargo.plan.mode;
         let app_id = cargo.plan.app();
         let dest = cargo.plan.dest_host();
         let now = sim.now();
@@ -1353,173 +1349,212 @@ impl Middleware {
         // here; any layer may veto the arrival.
         if let CheckinFlow::Drop = layers::stack_wrap_checkin(world, sim, ma, &cargo, &mut arrival)
         {
-            return;
+            return None;
         }
-        let Some(flight) = world.in_flight.remove(ma) else {
+        let flight = world.in_flight.remove(ma);
+        let (suspend, migrate, root) = match (&flight, mode) {
+            (Some(f), _) => (f.suspend, now.saturating_since(f.departed_at), f.span),
             // Without a bookkeeping record there is nothing to deploy
             // against (the exactly-once layer normally catches this).
-            return;
+            (None, MobilityMode::FollowMe) => return None,
+            // A replica still installs; the telemetry layer counts the
+            // orphan.
+            (None, MobilityMode::CloneDispatch) => {
+                (SimDuration::ZERO, SimDuration::ZERO, SpanId::DISABLED)
+            }
         };
-        let migrate = now.saturating_since(flight.departed_at);
-        world
-            .env
-            .metrics
-            .observe_static("migration.migrate", migrate);
-        layers::stack_before_checkin(world, sim, &cargo, Some(&flight), &mut arrival);
+        layers::stack_before_checkin(world, sim, &cargo, flight.as_ref(), &mut arrival);
 
-        // Move the application record to the destination.
-        let src_host = world.app(app_id).map(|a| a.host).unwrap_or(dest);
-        let src_space = world.space_of(src_host).ok();
-        let dest_space = world.space_of(dest).ok();
         // The data-path layer resolves deltas/elision into the arrival;
-        // with an empty stack the wire payload deploys as-is.
+        // with an empty stack the wire payload deploys as-is. The
+        // destination inventory is what was preinstalled there plus the
+        // cargo (shipped bytes and cache-elided components alike).
         let snapshot = arrival
             .snapshot
             .take()
             .unwrap_or_else(|| cargo.snapshot.clone());
-        let elided_components = std::mem::take(&mut arrival.components);
-        {
-            let preinstalled = world.preinstalled_components(dest, &snapshot.app_name);
-            let Ok(app) = world.app_mut(app_id) else {
-                // Destination rejected the check-in: unwind the layers
-                // (closing the telemetry root) instead of leaking an open
-                // span and a dead flight.
-                world.env.metrics.incr_static("migration.arrival_failures");
-                layers::stack_on_abort(
-                    world,
-                    sim,
-                    ma,
-                    Some(&flight),
-                    layers::AbortReason::ArrivalRejected,
-                );
-                return;
-            };
-            app.host = dest;
-            app.state = AppState::Migrating;
-            // Destination inventory = what was preinstalled there + cargo
-            // (shipped bytes and cache-elided components alike).
-            let mut inventory = preinstalled;
-            inventory.merge(cargo.components.clone());
-            for component in elided_components {
-                inventory.insert(component);
-            }
-            // Data left behind: replace data bindings with remote URLs.
-            app.components = inventory;
-            let _ = SnapshotManager::restore(&snapshot, app);
+        let mut inventory = world.preinstalled_components(dest, &snapshot.app_name);
+        inventory.merge(cargo.components.clone());
+        for component in std::mem::take(&mut arrival.components) {
+            inventory.insert(component);
         }
-        arrival.snapshot = Some(snapshot);
-        // Rebind each binding according to the destination inventory.
-        let mut rebind_cost = SimDuration::ZERO;
-        let rebind_outcomes = Middleware::rebind_app(world, app_id, &cargo, src_host);
-        for outcome in &rebind_outcomes {
-            rebind_cost += match outcome {
-                RebindOutcome::RebindLocal | RebindOutcome::Carried => {
-                    world.cost_model.rebind_local
-                }
-                RebindOutcome::StreamRemote => SimDuration::ZERO, // costed below
-            };
-        }
-
-        // Adaptation.
-        let src_profile = world.device_profile(src_host);
-        let dst_profile = world.device_profile(dest);
-        let user_profile = world
-            .app(app_id)
-            .map(|a| a.user_profile.clone())
-            .unwrap_or_default();
-        let adaptation = adapt(800, 600, &src_profile, &dst_profile, &user_profile);
-        let adapt_cost = if adaptation.actions.is_empty() {
-            SimDuration::ZERO
-        } else {
-            world.cost_model.adapt
-        };
-
+        let src_host = world.app(app_id).map(|a| a.host).unwrap_or(dest);
         let cpu = world
             .env
             .topology
             .host(dest)
             .map(|h| h.cpu())
             .unwrap_or(CpuFactor::REFERENCE);
-        let resume_cost = cpu.scale(
-            world
-                .cost_model
-                .resume_cost(flight.shipped_bytes, flight.remote_bytes)
-                + rebind_cost
-                + adapt_cost,
-        );
-        world
-            .env
-            .metrics
-            .observe_static("migration.resume", resume_cost);
-        arrival.rebind_cost = rebind_cost;
-        arrival.adapt_cost = adapt_cost;
-        arrival.resume_cost = resume_cost;
-        arrival.rebind_bindings = rebind_outcomes.len();
-        arrival.adapt_actions = adaptation.actions.len();
-        arrival.cpu = cpu;
-        layers::stack_after_checkin(world, sim, &cargo, Some(&flight), &arrival);
-        world.env.trace.record_event(
-            now,
-            TraceCategory::Agent,
-            TraceEvent::Restore {
-                app: app_id.to_string(),
-                dest: dest.to_string(),
-            },
-        );
-
-        // Registry check-out / check-in.
-        if let (Some(src_space), Some(dest_space)) = (src_space, dest_space) {
-            if src_space != dest_space {
-                if let Some(center) = world.federation.center_mut(src_space) {
-                    let name = cargo.snapshot.app_name.clone();
-                    center.deregister_application(&name);
+        let (landed, shipped_bytes, remote_bytes, resume_cost, adaptation) = match mode {
+            MobilityMode::FollowMe => {
+                world
+                    .env
+                    .metrics
+                    .observe_static("migration.migrate", migrate);
+                let Ok(app) = world.app_mut(app_id) else {
+                    // Destination rejected the check-in: unwind the layers
+                    // (closing the telemetry root) instead of leaking an
+                    // open span and a dead flight.
+                    world.env.metrics.incr_static("migration.arrival_failures");
+                    layers::stack_on_abort(
+                        world,
+                        sim,
+                        ma,
+                        flight.as_ref(),
+                        layers::AbortReason::ArrivalRejected,
+                    );
+                    return None;
+                };
+                // Move the application record to the destination; data
+                // left behind is rebound to remote URLs below.
+                app.host = dest;
+                app.state = AppState::Migrating;
+                app.components = inventory;
+                let _ = SnapshotManager::restore(&snapshot, app);
+                let mut rebind_cost = SimDuration::ZERO;
+                let rebind_outcomes = Middleware::rebind_app(world, app_id, &cargo, src_host);
+                for outcome in &rebind_outcomes {
+                    rebind_cost += match outcome {
+                        RebindOutcome::RebindLocal | RebindOutcome::Carried => {
+                            world.cost_model.rebind_local
+                        }
+                        RebindOutcome::StreamRemote => SimDuration::ZERO, // costed below
+                    };
                 }
+                let src_profile = world.device_profile(src_host);
+                let dst_profile = world.device_profile(dest);
+                let user_profile = world
+                    .app(app_id)
+                    .map(|a| a.user_profile.clone())
+                    .unwrap_or_default();
+                let adaptation = adapt(800, 600, &src_profile, &dst_profile, &user_profile);
+                let adapt_cost = if adaptation.actions.is_empty() {
+                    SimDuration::ZERO
+                } else {
+                    world.cost_model.adapt
+                };
+                let (shipped, remote) = flight
+                    .as_ref()
+                    .map_or((0, 0), |f| (f.shipped_bytes, f.remote_bytes));
+                let resume_cost = cpu.scale(
+                    world.cost_model.resume_cost(shipped, remote) + rebind_cost + adapt_cost,
+                );
+                world
+                    .env
+                    .metrics
+                    .observe_static("migration.resume", resume_cost);
+                arrival.rebind_cost = rebind_cost;
+                arrival.adapt_cost = adapt_cost;
+                arrival.rebind_bindings = rebind_outcomes.len();
+                arrival.adapt_actions = adaptation.actions.len();
+                (app_id, shipped, remote, resume_cost, adaptation)
             }
-        }
-        let _ = Middleware::register_app_record(world, app_id);
-
-        let report_base = MigrationReport {
-            app: app_id,
-            app_name: cargo.snapshot.app_name.clone(),
-            mode: cargo.plan.mode,
-            policy: cargo.plan.policy,
-            phases: PhaseTimes {
-                suspend: flight.suspend,
-                migrate,
-                resume: resume_cost,
-            },
-            shipped_bytes: flight.shipped_bytes,
-            remote_bytes: flight.remote_bytes,
-            dest_host: dest,
-            completed_at: now + resume_cost,
-            adaptation,
+            MobilityMode::CloneDispatch => {
+                let replica_id = AppId(world.apps.len() as u32);
+                let mut replica = Application::new(replica_id, snapshot.app_name.clone(), dest);
+                replica.components = inventory;
+                replica.state = AppState::Migrating;
+                replica.mobile_agent = Some(ma.clone());
+                replica.cloned_from = Some(app_id);
+                let _ = SnapshotManager::restore(&snapshot, &mut replica);
+                // The replica links back to its source, and the source to
+                // the new replica.
+                replica.coordinator.add_sync_link(app_id);
+                world.apps.push(replica);
+                if let Ok(src) = world.app_mut(app_id) {
+                    src.coordinator.add_sync_link(replica_id);
+                }
+                let shipped = cargo.wire_len();
+                let resume_cost = cpu.scale(world.cost_model.resume_cost(shipped, 0));
+                arrival.replica = Some(replica_id);
+                let (remote, adaptation) = (cargo.remote_bytes, AdaptationReport::default());
+                (replica_id, shipped, remote, resume_cost, adaptation)
+            }
         };
-        let root = flight.span;
-        sim.schedule_in(resume_cost, move |w, sim| {
-            let now = sim.now();
-            if let Ok(app) = w.app_mut(app_id) {
-                app.state = AppState::Running;
-            }
-            let latency =
-                report_base.phases.suspend + report_base.phases.migrate + report_base.phases.resume;
-            let outcome = ResumeOutcome {
-                app: app_id,
-                root,
-                latency,
-            };
-            layers::stack_before_resume(w, sim, &outcome);
-            w.env.trace.record_event(
-                now,
-                TraceCategory::Application,
+        arrival.snapshot = Some(snapshot);
+        arrival.resume_cost = resume_cost;
+        arrival.cpu = cpu;
+        layers::stack_after_checkin(world, sim, &cargo, flight.as_ref(), &arrival);
+        let (installed, running, completed) = match mode {
+            MobilityMode::FollowMe => (
+                TraceEvent::Restore {
+                    app: app_id.to_string(),
+                    dest: dest.to_string(),
+                },
                 TraceEvent::Resumed {
                     app: app_id.to_string(),
                     dest: dest.to_string(),
                 },
-            );
-            w.migration_log.push(report_base.clone());
-            w.env.metrics.incr_static("migration.completed");
+                "migration.completed",
+            ),
+            MobilityMode::CloneDispatch => (
+                TraceEvent::ReplicaInstalled {
+                    replica: landed.to_string(),
+                    source: app_id.to_string(),
+                    dest: dest.to_string(),
+                },
+                TraceEvent::ReplicaRunning {
+                    replica: landed.to_string(),
+                },
+                "migration.clones_completed",
+            ),
+        };
+        world
+            .env
+            .trace
+            .record_event(now, TraceCategory::Agent, installed);
+
+        // Registry check-out at the source space (follow-me only: the
+        // original of a clone stays registered), check-in here.
+        if mode == MobilityMode::FollowMe {
+            if let (Ok(src_space), Ok(dest_space)) =
+                (world.space_of(src_host), world.space_of(dest))
+            {
+                if src_space != dest_space {
+                    if let Some(center) = world.federation.center_mut(src_space) {
+                        center.deregister_application(&cargo.snapshot.app_name);
+                    }
+                }
+            }
+        }
+        let _ = Middleware::register_app_record(world, landed);
+
+        let report = MigrationReport {
+            app: landed,
+            app_name: cargo.snapshot.app_name.clone(),
+            mode,
+            policy: cargo.plan.policy,
+            phases: PhaseTimes {
+                suspend,
+                migrate,
+                resume: resume_cost,
+            },
+            shipped_bytes,
+            remote_bytes,
+            dest_host: dest,
+            completed_at: now + resume_cost,
+            adaptation,
+        };
+        sim.schedule_in(resume_cost, move |w, sim| {
+            let now = sim.now();
+            if let Ok(app) = w.app_mut(landed) {
+                app.state = AppState::Running;
+            }
+            let latency = report.phases.suspend + report.phases.migrate + report.phases.resume;
+            let outcome = ResumeOutcome {
+                app: landed,
+                root,
+                latency,
+            };
+            layers::stack_before_resume(w, sim, &outcome);
+            w.env
+                .trace
+                .record_event(now, TraceCategory::Application, running);
+            w.migration_log.push(report);
+            w.env.metrics.incr_static(completed);
             layers::stack_after_resume(w, sim, &outcome);
         });
+        (mode == MobilityMode::CloneDispatch).then_some(landed)
     }
 
     // mdlint::entry
@@ -1551,125 +1586,8 @@ impl Middleware {
         outcomes
     }
 
-    /// Phase 3 for clone-dispatch: install a replica application at the
-    /// destination, linked for synchronization with its original.
-    /// Returns the replica id.
-    // mdlint::entry
-    pub(crate) fn arrive_clone(
-        world: &mut Middleware,
-        sim: &mut Simulator<Middleware>,
-        clone_ma: &AgentId,
-        cargo: Cargo,
-    ) -> Option<AppId> {
-        let dest = cargo.plan.dest_host();
-        let source_app = cargo.plan.app();
-        let now = sim.now();
-
-        let mut arrival = Arrival::new(cargo.snapshot.sequence);
-        if let CheckinFlow::Drop =
-            layers::stack_wrap_checkin(world, sim, clone_ma, &cargo, &mut arrival)
-        {
-            return None;
-        }
-        let flight = world.in_flight.remove(clone_ma);
-        layers::stack_before_checkin(world, sim, &cargo, flight.as_ref(), &mut arrival);
-        let snapshot = arrival
-            .snapshot
-            .take()
-            .unwrap_or_else(|| cargo.snapshot.clone());
-        let elided_components = std::mem::take(&mut arrival.components);
-        let replica_id = AppId(world.apps.len() as u32);
-        let mut replica = Application::new(replica_id, snapshot.app_name.clone(), dest);
-        let mut inventory = world.preinstalled_components(dest, &snapshot.app_name);
-        inventory.merge(cargo.components.clone());
-        for component in elided_components {
-            inventory.insert(component);
-        }
-        replica.components = inventory;
-        replica.state = AppState::Migrating;
-        replica.mobile_agent = Some(clone_ma.clone());
-        replica.cloned_from = Some(source_app);
-        let _ = SnapshotManager::restore(&snapshot, &mut replica);
-        arrival.snapshot = Some(snapshot);
-        // The replica's own sync links start from the original's links; it
-        // must at least link back to the source.
-        replica.coordinator.add_sync_link(source_app);
-        world.apps.push(replica);
-
-        // Link the source to the new replica.
-        if let Ok(src) = world.app_mut(source_app) {
-            src.coordinator.add_sync_link(replica_id);
-        }
-
-        let shipped = cargo.wire_len();
-        let cpu = world
-            .env
-            .topology
-            .host(dest)
-            .map(|h| h.cpu())
-            .unwrap_or(CpuFactor::REFERENCE);
-        let resume_cost = cpu.scale(world.cost_model.resume_cost(shipped, 0));
-        let (suspend, migrate, root) = match flight.as_ref() {
-            Some(f) => (f.suspend, now.saturating_since(f.departed_at), f.span),
-            None => (SimDuration::ZERO, SimDuration::ZERO, SpanId::DISABLED),
-        };
-        arrival.resume_cost = resume_cost;
-        arrival.cpu = cpu;
-        arrival.replica = Some(replica_id);
-        layers::stack_after_checkin(world, sim, &cargo, flight.as_ref(), &arrival);
-        world.env.trace.record_event(
-            now,
-            TraceCategory::Agent,
-            TraceEvent::ReplicaInstalled {
-                replica: replica_id.to_string(),
-                source: source_app.to_string(),
-                dest: dest.to_string(),
-            },
-        );
-        let report = MigrationReport {
-            app: replica_id,
-            app_name: cargo.snapshot.app_name.clone(),
-            mode: MobilityMode::CloneDispatch,
-            policy: cargo.plan.policy,
-            phases: PhaseTimes {
-                suspend,
-                migrate,
-                resume: resume_cost,
-            },
-            shipped_bytes: shipped,
-            remote_bytes: cargo.remote_bytes,
-            dest_host: dest,
-            completed_at: now + resume_cost,
-            adaptation: AdaptationReport::default(),
-        };
-        let _ = Middleware::register_app_record(world, replica_id);
-        sim.schedule_in(resume_cost, move |w, sim| {
-            let now = sim.now();
-            if let Ok(app) = w.app_mut(replica_id) {
-                app.state = AppState::Running;
-            }
-            let latency = report.phases.suspend + report.phases.migrate + report.phases.resume;
-            let outcome = ResumeOutcome {
-                app: replica_id,
-                root,
-                latency,
-            };
-            layers::stack_before_resume(w, sim, &outcome);
-            w.env.trace.record_event(
-                now,
-                TraceCategory::Application,
-                TraceEvent::ReplicaRunning {
-                    replica: replica_id.to_string(),
-                },
-            );
-            w.migration_log.push(report.clone());
-            w.env.metrics.incr_static("migration.clones_completed");
-            layers::stack_after_resume(w, sim, &outcome);
-        });
-        Some(replica_id)
-    }
-
-    /// Drops in-flight bookkeeping for an MA (after clone dispatch).
+    /// Drops an MA's in-flight bookkeeping once its cargo has expired
+    /// (after a clone dispatch or a rollback) or its retry is obsolete.
     pub(crate) fn remove_in_flight(&mut self, ma: &AgentId) {
         self.in_flight.remove(ma);
     }

@@ -1,8 +1,10 @@
 //! Property tests of the fault-tolerant migration path: under seeded
 //! per-link drop schedules every follow-me migration either completes
 //! exactly once at the destination or rolls back with the application
-//! resumed at the source — no lost applications, no duplicates, no
-//! orphaned in-flight records, and every telemetry span closed.
+//! resumed at the source, and every clone-dispatch either installs one
+//! replica or aborts while the original keeps running — no lost
+//! applications, no duplicates, no orphaned in-flight records, and every
+//! telemetry span closed.
 
 use mdagent_context::UserId;
 use mdagent_core::{
@@ -45,6 +47,12 @@ fn components() -> ComponentSet {
 /// Runs one faulted follow-me migration to completion and returns the
 /// world for invariant checks.
 fn run_one(seed: u64, drop_probability: f64) -> (Middleware, HostId, HostId) {
+    run_mode(seed, drop_probability, MobilityMode::FollowMe)
+}
+
+/// Runs one faulted migration in `mode` to completion and returns the
+/// world for invariant checks.
+fn run_mode(seed: u64, drop_probability: f64, mode: MobilityMode) -> (Middleware, HostId, HostId) {
     let (mut world, mut sim, src, dest) = world_2hop(seed, drop_probability);
     let app = Middleware::deploy_app(
         &mut world,
@@ -61,7 +69,7 @@ fn run_one(seed: u64, drop_probability: f64) -> (Middleware, HostId, HostId) {
         &mut sim,
         app,
         dest,
-        MobilityMode::FollowMe,
+        mode,
         BindingPolicy::Adaptive,
     )
     .unwrap();
@@ -86,6 +94,45 @@ fn assert_invariants(world: &Middleware, src: HostId, dest: HostId) {
     } else {
         assert_eq!(app.host, src, "rolled-back migration resumes at source");
     }
+    assert_settled(world);
+}
+
+/// The install-once-or-abort invariant bundle for one clone-dispatch.
+/// Returns how many replicas were installed (0 or 1).
+fn assert_clone_invariants(world: &Middleware, src: HostId, dest: HostId) -> u64 {
+    let completed = world.metrics().counter("migration.clones_completed");
+    let aborts = world.metrics().counter("migration.clone_aborts");
+    assert_eq!(
+        completed + aborts,
+        1,
+        "exactly one outcome: completed={completed} aborts={aborts}"
+    );
+    assert_eq!(
+        world.app_count() as u64,
+        1 + completed,
+        "one replica per installed clone, none for an aborted one"
+    );
+    let originals = world.apps().filter(|a| a.cloned_from.is_none()).count();
+    assert_eq!(originals, 1, "the original application is never lost");
+    for app in world.apps() {
+        assert_eq!(
+            app.state,
+            AppState::Running,
+            "{} must end up running",
+            app.id
+        );
+        let expected = if app.cloned_from.is_some() { dest } else { src };
+        assert_eq!(
+            app.host, expected,
+            "original at source, replica at destination"
+        );
+    }
+    assert_settled(world);
+    completed
+}
+
+/// No in-flight record is left behind and every span is closed.
+fn assert_settled(world: &Middleware) {
     assert_eq!(world.in_flight_count(), 0, "no orphaned in-flight records");
     let open: Vec<_> = world
         .telemetry()
@@ -108,6 +155,18 @@ proptest! {
     ) {
         let (world, src, dest) = run_one(seed, drop_probability);
         assert_invariants(&world, src, dest);
+    }
+
+    /// A clone lost in flight is aborted by its watchdog; one that lands
+    /// installs exactly one replica. Either way the original keeps running
+    /// at the source.
+    #[test]
+    fn faulted_clone_installs_once_or_aborts(
+        seed in any::<u64>(),
+        drop_probability in 0.0f64..0.6,
+    ) {
+        let (world, src, dest) = run_mode(seed, drop_probability, MobilityMode::CloneDispatch);
+        assert_clone_invariants(&world, src, dest);
     }
 
     /// The fault schedule is a pure function of the seed: identical seeds
@@ -150,6 +209,21 @@ fn drop_probability_point_two_acceptance_sweep() {
         completions > 0,
         "retries should rescue most transfers at p=0.2"
     );
+}
+
+/// The clone property reaches both of its outcomes. At drop probability
+/// 0.4 on the 2-hop topology, seeds 0..64 install 23 replicas and abort 41
+/// clones; a change to clone timing under faults moves these counts.
+#[test]
+fn clone_sweep_installs_and_aborts() {
+    let (mut installed, mut aborted) = (0u64, 0u64);
+    for seed in 0..64u64 {
+        let (world, src, dest) = run_mode(seed, 0.4, MobilityMode::CloneDispatch);
+        let completed = assert_clone_invariants(&world, src, dest);
+        installed += completed;
+        aborted += 1 - completed;
+    }
+    assert_eq!((installed, aborted), (23, 41));
 }
 
 /// Retries are observable: a run that completed after drops records both

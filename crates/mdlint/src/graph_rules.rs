@@ -31,8 +31,7 @@ pub const R9_LIFECYCLE: &[&str] = &[
     "prestage",
     "migrate_now",
     "suspend_and_wrap",
-    "arrive_follow_me",
-    "arrive_clone",
+    "arrive",
     "rebind_app",
 ];
 

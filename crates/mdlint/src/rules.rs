@@ -77,8 +77,6 @@ pub const R6_CONFINED: &[&str] = &[
     "arm_watchdog",
     "check_migration",
     "rollback_migration",
-    "note_clone_departure",
-    "in_flight_suspend",
     // data-path layer: content store and snapshot resolution
     "remember_content",
     "host_holds_content",

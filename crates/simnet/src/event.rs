@@ -13,8 +13,8 @@
 //!   and liveness is a 4-byte generation word — the hot path allocates
 //!   nothing and takes no per-event cache miss.
 //! * [`ReferenceHeap`] — the original single `BinaryHeap` scheduler, kept
-//!   behind [`QueueKind::ReferenceHeap`] (and the `reference-queue` cargo
-//!   feature) as the equivalence baseline for tests and benchmarks.
+//!   behind [`QueueKind::ReferenceHeap`] as the equivalence baseline for
+//!   tests and benchmarks.
 //!
 //! Both pop live events in exactly the same order on any schedule; the
 //! property tests in `tests/prop_queue.rs` prove it.
@@ -86,11 +86,10 @@ pub(crate) enum Payload<W> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
     /// Bucketed calendar queue (O(1) amortized; the production default).
-    #[cfg_attr(not(feature = "reference-queue"), default)]
+    #[default]
     Calendar,
     /// The original binary-heap scheduler, kept as the equivalence
     /// reference for tests and benchmarks.
-    #[cfg_attr(feature = "reference-queue", default)]
     ReferenceHeap,
 }
 

@@ -53,8 +53,7 @@ impl<W> Default for Simulator<W> {
 }
 
 impl<W> Simulator<W> {
-    /// Creates an empty simulator at time zero, on the default queue
-    /// (the calendar queue, unless the `reference-queue` feature flips it).
+    /// Creates an empty simulator at time zero, on the calendar queue.
     pub fn new() -> Self {
         Self::with_queue(QueueKind::default())
     }
