@@ -52,17 +52,6 @@ pub struct Cx<'a, W: PlatformHost> {
     pub sim: &'a mut Simulator<W>,
 }
 
-impl<'a, W: PlatformHost> Cx<'a, W> {
-    /// Reborrows the context (for passing to helpers without consuming it).
-    pub fn reborrow(&mut self) -> Cx<'_, W> {
-        Cx {
-            id: self.id,
-            world: self.world,
-            sim: self.sim,
-        }
-    }
-}
-
 impl<W: PlatformHost> std::fmt::Debug for Cx<'_, W> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cx").field("id", &self.id).finish()
@@ -93,7 +82,7 @@ pub trait Agent<W: PlatformHost>: 'static {
         let _ = (msg, cx);
     }
 
-    /// Called when a timer or ticker set through the platform fires.
+    /// Called when a timer set through the platform fires.
     fn on_timer(&mut self, tag: u64, cx: Cx<'_, W>) {
         let _ = (tag, cx);
     }

@@ -58,11 +58,6 @@ impl AgentId {
         &self.local
     }
 
-    /// The platform name.
-    pub fn platform_name(&self) -> &str {
-        &self.platform
-    }
-
     /// Derives the name used for the `n`-th clone of this agent.
     pub fn clone_name(&self, n: u64) -> AgentId {
         AgentId {
@@ -89,7 +84,6 @@ mod tests {
     fn display_and_accessors() {
         let id = AgentId::new("aa-1", "mdagent");
         assert_eq!(id.local_name(), "aa-1");
-        assert_eq!(id.platform_name(), "mdagent");
         assert_eq!(format!("{id}"), "aa-1@mdagent");
         assert_eq!(ContainerId(3).to_string(), "container-3");
     }

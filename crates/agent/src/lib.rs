@@ -10,7 +10,7 @@
 //! * [`Agent`] — the agent behaviour trait: `on_start`, `on_message`,
 //!   `on_timer`, plus `snapshot()` so the platform can serialize state.
 //! * [`Platform`] — AMS + message transport + mobility: `spawn`, `send`,
-//!   timers/tickers, `suspend`/`resume`, and the two mobility primitives
+//!   one-shot timers, `suspend`/`resume`, and the two mobility primitives
 //!   the paper's taxonomy needs — [`Platform::move_agent`] (follow-me /
 //!   cut-paste) and [`Platform::clone_agent`] (clone-dispatch /
 //!   copy-paste). Both are fronts over one departure: a move takes the
@@ -20,8 +20,10 @@
 //!   reconstructs them from their snapshot. A departure requested inside
 //!   the agent's own callback runs when the callback returns; if it then
 //!   fails, the world hears of it as a [`DeferredFailure`].
-//! * [`Directory`] — the DF (yellow pages).
-//! * [`Fsm`] — `FSMBehaviour`-style helper for protocol agents.
+//!
+//! Service discovery is not part of this slice: MDAgent finds applications
+//! and resources through its registry centers (`mdagent-registry`, the
+//! paper's Juddi), so the platform keeps no DF.
 //!
 //! The platform is generic over a *world* type implementing
 //! [`PlatformHost`]; the MDAgent middleware embeds a platform next to its
@@ -34,19 +36,15 @@
 
 mod acl;
 mod agent;
-mod df;
 mod error;
-mod fsm;
 mod id;
 mod platform;
 
 pub use acl::{AclMessage, Performative};
 pub use agent::{Agent, Cx, Journey, LifecycleState};
-pub use df::{Directory, ServiceDescription};
 pub use error::AgentError;
-pub use fsm::{Fsm, InvalidTransition};
 pub use id::{AgentId, ContainerId};
 pub use platform::{
-    AgentFactory, DeferredFailure, Platform, PlatformEnv, PlatformHost, TickerId,
-    AGENT_FRAME_BYTES, LOCAL_DELIVERY, MIGRATION_SETUP, REMOTE_OVERHEAD,
+    AgentFactory, DeferredFailure, Platform, PlatformEnv, PlatformHost, AGENT_FRAME_BYTES,
+    LOCAL_DELIVERY, MIGRATION_SETUP, REMOTE_OVERHEAD,
 };

@@ -13,7 +13,6 @@ use mdagent_simnet::{
 
 use crate::acl::AclMessage;
 use crate::agent::{Agent, Cx, Journey, LifecycleState};
-use crate::df::Directory;
 use crate::error::AgentError;
 use crate::id::{AgentId, ContainerId};
 
@@ -150,16 +149,6 @@ enum PendingOp {
     Despawn,
 }
 
-/// A repeating timer's record: who it belongs to (by arena handle, so a
-/// reused slot never receives a stale agent's ticks) and its cadence.
-struct TickerRec {
-    active: bool,
-    agent: u32,
-    gen: u32,
-    period: SimDuration,
-    tag: u64,
-}
-
 /// Packs an arena handle into one event-data word.
 const fn pack_handle(idx: u32, gen: u32) -> u64 {
     ((gen as u64) << 32) | idx as u64
@@ -172,10 +161,6 @@ const fn unpack_handle(h: u64) -> (u32, u32) {
 /// Sentinel handle that never resolves (used to keep event counts identical
 /// when an operation targets an unknown agent).
 const DEAD_HANDLE: (u32, u32) = (u32::MAX, u32::MAX);
-
-/// Identifier of a repeating timer created by [`Platform::set_ticker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TickerId(u64);
 
 /// The agent platform (AMS + message transport + mobility), generic over
 /// the world `W` that hosts it.
@@ -197,10 +182,7 @@ pub struct Platform<W: PlatformHost> {
     /// Interned agent type names.
     type_names: Interner,
     factories: FxHashMap<Symbol, AgentFactory<W>>,
-    df: Directory,
-    tickers: Vec<TickerRec>,
     next_clone: u64,
-    next_conversation: u64,
     /// Interned endpoint codes for the channel clock, so per-send lookups
     /// hash two `u32`s instead of cloning two `AgentId`s.
     id_codes: FxHashMap<AgentId, u32>,
@@ -232,10 +214,7 @@ impl<W: PlatformHost> Platform<W> {
             index: FxHashMap::default(),
             type_names: Interner::new(),
             factories: FxHashMap::default(),
-            df: Directory::new(),
-            tickers: Vec::new(),
             next_clone: 0,
-            next_conversation: 0,
             id_codes: FxHashMap::default(),
             channel_clock: FxHashMap::default(),
         }
@@ -360,22 +339,6 @@ impl<W: PlatformHost> Platform<W> {
     /// Builds an [`AgentId`] on this platform.
     pub fn agent_id(&self, local: impl Into<String>) -> AgentId {
         AgentId::new(local, self.name.clone())
-    }
-
-    /// Allocates a fresh conversation id.
-    pub fn new_conversation(&mut self) -> u64 {
-        self.next_conversation += 1;
-        self.next_conversation
-    }
-
-    /// The yellow pages.
-    pub fn df(&self) -> &Directory {
-        &self.df
-    }
-
-    /// Mutable yellow pages.
-    pub fn df_mut(&mut self) -> &mut Directory {
-        &mut self.df
     }
 
     /// Current lifecycle state of an agent.
@@ -632,7 +595,6 @@ impl<W: PlatformHost> Platform<W> {
             slot.agent = None;
             slot.buffer.clear();
         }
-        world.platform_mut().df.deregister(id);
     }
 
     /// One-shot timer: `on_timer(tag)` fires after `delay` if the agent is
@@ -656,64 +618,6 @@ impl<W: PlatformHost> Platform<W> {
         let (idx, gen) = unpack_handle(d.a);
         if world.platform().slot_at(idx, gen).map(|s| s.state) == Some(LifecycleState::Active) {
             Self::invoke_slot(world, sim, idx, gen, |agent, cx| agent.on_timer(d.b, cx));
-        }
-    }
-
-    /// Repeating timer with the given period; fires only while the agent is
-    /// active, and stops for good once the agent is deleted or the ticker
-    /// cancelled.
-    pub fn set_ticker(
-        world: &mut W,
-        sim: &mut Simulator<W>,
-        id: &AgentId,
-        period: SimDuration,
-        tag: u64,
-    ) -> TickerId {
-        let platform = world.platform_mut();
-        let (idx, gen) = platform.handle(id);
-        let ticker = TickerId(platform.tickers.len() as u64);
-        platform.tickers.push(TickerRec {
-            active: true,
-            agent: idx,
-            gen,
-            period,
-            tag,
-        });
-        sim.schedule_data_in(period, Self::tick_event, EventData::one(ticker.0));
-        ticker
-    }
-
-    /// One tick of a repeating timer. The event carries only the ticker
-    /// index; cadence and target live in the ticker record, so a 100k-agent
-    /// tick storm allocates nothing.
-    fn tick_event(world: &mut W, sim: &mut Simulator<W>, d: EventData) {
-        let platform = world.platform();
-        let Some(rec) = platform.tickers.get(d.a as usize) else {
-            return;
-        };
-        if !rec.active {
-            return;
-        }
-        let (idx, gen, period, tag) = (rec.agent, rec.gen, rec.period, rec.tag);
-        match platform.slot_at(idx, gen).map(|s| s.state) {
-            None | Some(LifecycleState::Deleted) => {
-                world.platform_mut().tickers[d.a as usize].active = false;
-            }
-            Some(LifecycleState::Active) => {
-                Self::invoke_slot(world, sim, idx, gen, |agent, cx| agent.on_timer(tag, cx));
-                sim.schedule_data_in(period, Self::tick_event, EventData::one(d.a));
-            }
-            _ => {
-                // Paused or travelling: skip this tick, keep the ticker.
-                sim.schedule_data_in(period, Self::tick_event, EventData::one(d.a));
-            }
-        }
-    }
-
-    /// Cancels a repeating timer.
-    pub fn cancel_ticker(&mut self, ticker: TickerId) {
-        if let Some(rec) = self.tickers.get_mut(ticker.0 as usize) {
-            rec.active = false;
         }
     }
 
@@ -1126,7 +1030,7 @@ impl<W: PlatformHost> Platform<W> {
     /// Handle-addressed invoke: checks the agent out of its arena slot,
     /// runs `f`, checks it back in and executes any operations the handler
     /// queued on itself. The id is shared out of the slot (one `Rc` bump),
-    /// so a 100k-agent tick storm clones no strings.
+    /// so a 100k-agent timer storm clones no strings.
     fn invoke_slot(
         world: &mut W,
         sim: &mut Simulator<W>,

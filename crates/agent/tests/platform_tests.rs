@@ -3,7 +3,7 @@
 
 use mdagent_agent::{
     AclMessage, Agent, AgentError, AgentId, Cx, Journey, LifecycleState, Performative, Platform,
-    PlatformEnv, PlatformHost, ServiceDescription,
+    PlatformEnv, PlatformHost,
 };
 use mdagent_simnet::{CpuFactor, SimDuration, Simulator, Topology};
 use mdagent_wire::{from_bytes, impl_wire_struct, to_bytes};
@@ -166,16 +166,9 @@ fn timers_and_tickers_fire() {
     let (mut w, mut sim) = world();
     let a = Platform::spawn(&mut w, &mut sim, MAIN, "a", probe("a")).unwrap();
     Platform::set_timer(&mut w, &mut sim, &a, SimDuration::from_millis(10), 7);
-    let ticker = Platform::set_ticker(&mut w, &mut sim, &a, SimDuration::from_millis(3), 9);
     sim.run_until(&mut w, mdagent_simnet::SimTime::from_millis(11));
     let timer7 = w.log.iter().filter(|l| l.contains("timer 7")).count();
-    let timer9 = w.log.iter().filter(|l| l.contains("timer 9")).count();
     assert_eq!(timer7, 1);
-    assert_eq!(timer9, 3, "ticks at 3, 6, 9 ms");
-    w.platform.cancel_ticker(ticker);
-    let before = w.log.len();
-    sim.run_for(&mut w, SimDuration::from_millis(20));
-    assert_eq!(w.log.len(), before, "cancelled ticker stops firing");
 }
 
 #[test]
@@ -342,18 +335,6 @@ fn kill_makes_later_mail_dead_letter() {
     sim.run(&mut w);
     assert_eq!(w.env.metrics.counter("acl.dead_letter"), 1);
     assert_eq!(w.platform.agent_count(), 1);
-}
-
-#[test]
-fn df_search_finds_registered_services() {
-    let (mut w, mut sim) = world();
-    let a = Platform::spawn(&mut w, &mut sim, MAIN, "ma-1", probe("a")).unwrap();
-    w.platform
-        .df_mut()
-        .register(&a, ServiceDescription::new("mobile-agent", "wrapper"));
-    assert_eq!(w.platform.df().search("mobile-agent"), vec![a.clone()]);
-    Platform::kill(&mut w, &a);
-    assert!(w.platform.df().search("mobile-agent").is_empty());
 }
 
 #[test]

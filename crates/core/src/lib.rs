@@ -91,9 +91,7 @@ pub use layers::{
 };
 pub use messages::{ontologies, Cargo, ContextNotice, RetryNotice, SyncUpdate, TraceContext};
 pub use middleware::{Middleware, MiddlewareBuilder, MigrationReport};
-pub use mobility::{
-    BindingPolicy, DataStrategy, MigrationPlan, MobilityDomain, MobilityMode, SpacePrimary,
-};
+pub use mobility::{BindingPolicy, DataStrategy, MigrationPlan, MobilityDomain, MobilityMode};
 pub use observability::{
     ObservabilityOptions, SloOptions, SLO_MIGRATION_COMPLETION, SLO_MIGRATION_LATENCY,
     SLO_REGISTRY_LOOKUP,
@@ -102,7 +100,7 @@ pub use profile::{DeviceClass, DeviceProfile, UserProfile};
 pub use rules::{
     decide_move, decide_move_with, paper_rules, DecisionEngine, MoveDecision, PAPER_RULES,
 };
-pub use snapshot::{decode_components, is_consistent, Snapshot, SnapshotDelta, SnapshotManager};
+pub use snapshot::{is_consistent, Snapshot, SnapshotDelta, SnapshotManager};
 pub use timing::{CostModel, HostClock, PhaseTimes, RoundTrip};
 
 // Fault injection is configured through the builder; re-export the simnet

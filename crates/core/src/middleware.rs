@@ -763,10 +763,6 @@ impl Middleware {
             &local_name,
             Box::new(crate::agents::MobileAgent::new(id)),
         )?;
-        world.platform.df_mut().register(
-            &ma,
-            mdagent_agent::ServiceDescription::new("mobile-agent", name),
-        );
         match world.apps.get_mut(id.0 as usize) {
             Some(app) => app.mobile_agent = Some(ma),
             None => return Err(CoreError::UnknownApp(id)),
@@ -843,10 +839,6 @@ impl Middleware {
         let id = Platform::spawn(world, sim, container, &local_name, Box::new(agent))?;
         // The AA reasons for one user, so it hears only that user's context.
         let sub = world.kernel.bus.subscribe_user(user, "context.*");
-        world.platform.df_mut().register(
-            &id,
-            mdagent_agent::ServiceDescription::new("autonomous-agent", "context-watcher"),
-        );
         world.subscriber_agents.insert(sub, id.clone());
         Ok(id)
     }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use mdagent_simnet::{HostId, SpaceId, Topology};
+use mdagent_simnet::{HostId, Topology};
 use mdagent_wire::{impl_wire_enum, impl_wire_struct, Wire};
 
 use crate::app::AppId;
@@ -178,16 +178,6 @@ impl MigrationPlan {
     pub fn wire_len(&self) -> usize {
         self.encoded_len()
     }
-}
-
-/// Destination choice for a space: the "primary" host that receives
-/// migrating applications (the machine driving the room's display).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpacePrimary {
-    /// The space.
-    pub space: SpaceId,
-    /// Its primary host.
-    pub host: HostId,
 }
 
 #[cfg(test)]

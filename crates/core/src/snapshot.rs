@@ -9,7 +9,6 @@ use mdagent_wire::bytes::BytesMut;
 use mdagent_wire::{digest_of, impl_wire_struct, to_bytes, Wire, WireError};
 
 use crate::app::Application;
-use crate::component::ComponentSet;
 use crate::coordinator::Coordinator;
 
 /// A captured application snapshot: everything needed to resume elsewhere.
@@ -259,16 +258,6 @@ pub fn is_consistent(snap: &Snapshot, app: &Application) -> bool {
     app.name == snap.app_name
         && app.coordinator.version() == snap.coordinator.version()
         && app.coordinator.state_map() == snap.coordinator.state_map()
-}
-
-/// Reconstructs a component set from shipped bytes (what the MA does at
-/// check-in).
-///
-/// # Errors
-///
-/// Propagates wire decoding failures.
-pub fn decode_components(bytes: &[u8]) -> Result<ComponentSet, WireError> {
-    mdagent_wire::from_bytes(bytes)
 }
 
 #[cfg(test)]

@@ -148,11 +148,6 @@ fn deploy_registers_app_and_ma() {
     assert!(record.has_component("presentation"));
     assert!(!record.has_component("data"));
     assert_eq!(record.host, pc);
-    // The MA is discoverable through the DF.
-    assert!(!mdagent_agent::PlatformHost::platform(&world)
-        .df()
-        .search("mobile-agent")
-        .is_empty());
     // Bad app ids error.
     assert!(matches!(
         world.app(mdagent_core::AppId(99)),

@@ -181,13 +181,6 @@ pub struct CallGraph {
     pub edges: Vec<Vec<Edge>>,
 }
 
-/// One hop of a reported call path.
-#[derive(Debug, Clone)]
-pub struct PathHop {
-    /// `file:line fn-label` of the hop.
-    pub text: String,
-}
-
 impl CallGraph {
     /// Builds the graph from parsed files (callers resolve against every
     /// file in the slice; the slice should already be restricted to

@@ -40,6 +40,7 @@
 
 pub mod allow;
 pub mod callgraph;
+pub mod census;
 pub mod graph_rules;
 pub mod lexer;
 pub mod parser;
@@ -77,6 +78,8 @@ pub struct ScanResult {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// The census: `pub` items no non-test code names (see [`census`]).
+    pub unreferenced: Vec<census::Unreferenced>,
 }
 
 impl ScanResult {
@@ -87,7 +90,8 @@ impl ScanResult {
 }
 
 /// Directory names never descended into. `fixtures` keeps mdlint's own
-/// deliberately-violating test inputs out of the workspace scan.
+/// deliberately-violating test inputs out of the workspace scan; the
+/// root `examples/` directory is read for the census alone.
 const SKIP_DIRS: &[&str] = &[
     ".git", "target", "vendor", "fixtures", "examples", ".github",
 ];
@@ -149,23 +153,30 @@ pub fn scan_graph_sources(files: &[(String, String)]) -> Vec<Finding> {
     graph_rules::run_graph_rules(&parsed, &graph)
 }
 
+/// Reads `paths` as `(workspace-relative path, source)` pairs.
+fn read_sources(root: &Path, paths: &[PathBuf]) -> Result<Vec<(String, String)>, String> {
+    paths
+        .iter()
+        .map(|path| {
+            let source =
+                fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
+            Ok((rel_unix(root, path), source))
+        })
+        .collect()
+}
+
 /// Scans the workspace rooted at `root`: R1–R4 lexically on every `.rs`
 /// file, R5 on the tracked enums, R7–R9 on the sim-visible call graph,
 /// R10 against the committed wire lock, then applies
-/// `<root>/lint-allow.toml` and reports stale entries.
+/// `<root>/lint-allow.toml` and reports stale entries. The census runs
+/// over the same files plus `examples/`.
 pub fn scan_workspace(root: &Path) -> Result<ScanResult, String> {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;
+    let mut sources = read_sources(root, &files)?;
     let mut findings: Vec<Finding> = Vec::new();
-    let mut graph_files: Vec<(String, String)> = Vec::new();
-    for path in &files {
-        let source =
-            fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let rel = rel_unix(root, path);
-        findings.extend(rules::scan_source(&rel, &source));
-        if graph_relevant(&rel) {
-            graph_files.push((rel, source));
-        }
+    for (rel, source) in &sources {
+        findings.extend(rules::scan_source(rel, source));
     }
     for spec in rules::R5_TRACKED {
         let path = root.join(spec.path);
@@ -184,8 +195,9 @@ pub fn scan_workspace(root: &Path) -> Result<ScanResult, String> {
     }
 
     // Graph rules and wire lock share one parse of the sim-visible files.
-    let parsed: Vec<parser::ParsedFile> = graph_files
+    let parsed: Vec<parser::ParsedFile> = sources
         .iter()
+        .filter(|(rel, _)| graph_relevant(rel))
         .map(|(p, s)| parser::parse_file(p, s))
         .collect();
     let graph = callgraph::CallGraph::build(&parsed);
@@ -208,9 +220,13 @@ pub fn scan_workspace(root: &Path) -> Result<ScanResult, String> {
 
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
+    let mut examples = Vec::new();
+    collect_rs_files(&root.join("examples"), &mut examples)?;
+    sources.extend(read_sources(root, &examples)?);
     Ok(ScanResult {
         findings,
         files_scanned: files.len(),
+        unreferenced: census::unreferenced(&sources),
     })
 }
 
@@ -275,7 +291,7 @@ pub fn write_wire_schema(root: &Path) -> Result<usize, String> {
 /// summary, and return the number of unallowed findings.
 pub fn run(root: &Path) -> Result<usize, String> {
     let result = scan_workspace(root)?;
-    let report = report::render_report(&result.findings);
+    let report = report::render_report(&result.findings, &result.unreferenced);
     let report_path = root.join("LINT_report.json");
     fs::write(&report_path, &report)
         .map_err(|e| format!("write {}: {e}", report_path.display()))?;
@@ -286,6 +302,10 @@ pub fn run(root: &Path) -> Result<usize, String> {
         result.findings.len(),
         result.findings.len() - unallowed.len(),
         unallowed.len()
+    );
+    println!(
+        "mdlint: {} public items no non-test code names",
+        result.unreferenced.len()
     );
     for f in &unallowed {
         println!("  [{}] {}:{} {}", f.rule, f.file, f.line, f.snippet);

@@ -213,7 +213,7 @@ fn find_body_open(toks: &[Tok], from: usize) -> Option<(usize, bool)> {
 }
 
 /// Index just past the `}` matching the `{` at `open`.
-fn match_brace(toks: &[Tok], open: usize) -> usize {
+pub(crate) fn match_brace(toks: &[Tok], open: usize) -> usize {
     let mut depth = 1usize;
     let mut j = open + 1;
     while j < toks.len() && depth > 0 {
@@ -271,6 +271,61 @@ pub fn type_string(toks: &[Tok]) -> String {
         prev_word = word;
     }
     out
+}
+
+/// Parses the `impl` header whose keyword is `toks[i]`. Returns the index
+/// the header stops at (its body's `{`, or a `;`) and, when a body
+/// follows, the self type's head name (`impl Tr for a::Foo<T>` → `Foo`).
+pub(crate) fn impl_header(toks: &[Tok], i: usize) -> (usize, Option<String>) {
+    // Skip generics on the impl itself.
+    let mut j = i + 1;
+    if toks.get(j).is_some_and(|n| n.is_punct('<')) {
+        let mut angle = 1isize;
+        j += 1;
+        while j < toks.len() && angle > 0 {
+            if toks[j].is_punct('<') {
+                angle += 1;
+            } else if toks[j].is_punct('>') && !toks[j - 1].is_punct('-') {
+                angle -= 1;
+            }
+            j += 1;
+        }
+    }
+    // Collect tokens to `{`, watching for `for` (trait impls) and stopping
+    // type collection at `where`.
+    let mut ty_from = j;
+    let mut ty_to = None;
+    let mut k = j;
+    let mut depth = 0isize;
+    while k < toks.len() {
+        let tt = &toks[k];
+        if tt.kind == TokKind::Punct {
+            match tt.text.as_str() {
+                "<" | "(" | "[" => depth += 1,
+                ">" | ")" | "]" => {
+                    if tt.text == ">" && k > 0 && toks[k - 1].is_punct('-') {
+                        k += 1;
+                        continue;
+                    }
+                    depth -= 1;
+                }
+                "{" if depth == 0 => break,
+                ";" if depth == 0 => break,
+                _ => {}
+            }
+        } else if tt.kind == TokKind::Ident && depth == 0 {
+            if tt.text == "for" {
+                ty_from = k + 1;
+                ty_to = None;
+            } else if tt.text == "where" && ty_to.is_none() {
+                ty_to = Some(k);
+            }
+        }
+        k += 1;
+    }
+    let ty = (k < toks.len() && toks[k].is_punct('{'))
+        .then(|| type_head(&toks[ty_from..ty_to.unwrap_or(k)]).unwrap_or_else(|| "?".to_string()));
+    (k, ty)
 }
 
 /// Parses `use` tree starting after the `use` keyword at `i` (exclusive),
@@ -470,55 +525,8 @@ pub fn parse_file(rel_path: &str, source: &str) -> ParsedFile {
                 i += 2;
             }
             "impl" => {
-                // Skip generics on the impl itself.
-                let mut j = i + 1;
-                if toks.get(j).is_some_and(|n| n.is_punct('<')) {
-                    let mut angle = 1isize;
-                    j += 1;
-                    while j < toks.len() && angle > 0 {
-                        if toks[j].is_punct('<') {
-                            angle += 1;
-                        } else if toks[j].is_punct('>') && !toks[j - 1].is_punct('-') {
-                            angle -= 1;
-                        }
-                        j += 1;
-                    }
-                }
-                // Collect tokens to `{`, watching for `for` (trait impls)
-                // and stopping type collection at `where`.
-                let mut ty_from = j;
-                let mut ty_to = None;
-                let mut k = j;
-                let mut depth = 0isize;
-                while k < toks.len() {
-                    let tt = &toks[k];
-                    if tt.kind == TokKind::Punct {
-                        match tt.text.as_str() {
-                            "<" | "(" | "[" => depth += 1,
-                            ">" | ")" | "]" => {
-                                if tt.text == ">" && k > 0 && toks[k - 1].is_punct('-') {
-                                    k += 1;
-                                    continue;
-                                }
-                                depth -= 1;
-                            }
-                            "{" if depth == 0 => break,
-                            ";" if depth == 0 => break,
-                            _ => {}
-                        }
-                    } else if tt.kind == TokKind::Ident && depth == 0 {
-                        if tt.text == "for" {
-                            ty_from = k + 1;
-                            ty_to = None;
-                        } else if tt.text == "where" && ty_to.is_none() {
-                            ty_to = Some(k);
-                        }
-                    }
-                    k += 1;
-                }
-                if k < toks.len() && toks[k].is_punct('{') {
-                    let ty = type_head(&toks[ty_from..ty_to.unwrap_or(k)])
-                        .unwrap_or_else(|| "?".to_string());
+                let (k, ty) = impl_header(&toks, i);
+                if let Some(ty) = ty {
                     pending.push((k, ScopeKind::Impl(ty)));
                 }
                 i = k;

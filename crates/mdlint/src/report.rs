@@ -1,24 +1,36 @@
 //! Machine-readable `LINT_report.json` writer.
 //!
-//! Output is deterministic: findings are sorted by (file, line, rule)
-//! before this module sees them, and keys are emitted in a fixed order.
+//! Output is deterministic: findings are sorted by (file, line, rule) and
+//! the census by (file, line, name) before this module sees them, and keys
+//! are emitted in a fixed order.
 
 use mdagent_json::Value;
 
+use crate::census::Unreferenced;
 use crate::Finding;
 
-/// Renders the report document. `findings` must already be sorted.
-pub fn render_report(findings: &[Finding]) -> String {
+/// Renders the report document. Both lists must already be sorted.
+pub fn render_report(findings: &[Finding], unreferenced: &[Unreferenced]) -> String {
     let allowed = findings.iter().filter(|f| f.allowed).count();
     let counts = Value::object([
         ("total", findings.len().into()),
         ("allowed", allowed.into()),
         ("unallowed", (findings.len() - allowed).into()),
+        ("unreferenced", unreferenced.len().into()),
     ]);
+    // v3: the census of `pub` items no non-test code names.
+    let unreferenced = unreferenced.iter().map(|u| {
+        Value::object([
+            ("file", u.file.as_str().into()),
+            ("line", u.line.into()),
+            ("name", u.name.as_str().into()),
+        ])
+    });
     Value::object([
-        ("schema", "mdlint-report-v2".into()),
+        ("schema", "mdlint-report-v3".into()),
         ("counts", counts),
         ("findings", Value::array(findings.iter().map(finding))),
+        ("unreferenced", Value::array(unreferenced)),
     ])
     .pretty()
 }

@@ -200,9 +200,11 @@ fn report_is_valid_shape_and_sorted_fields() {
     )
     .unwrap();
     apply_allowlist(&mut findings, &entries);
-    let json = render_report(&findings);
-    assert!(json.contains("\"schema\": \"mdlint-report-v2\""));
-    assert!(json.contains("\"counts\": {\"total\": 4, \"allowed\": 4, \"unallowed\": 0}"));
+    let json = render_report(&findings, &[]);
+    assert!(json.contains("\"schema\": \"mdlint-report-v3\""));
+    assert!(json.contains(
+        "\"counts\": {\"total\": 4, \"allowed\": 4, \"unallowed\": 0, \"unreferenced\": 0}"
+    ));
     assert!(json.contains("\"rule\": \"R3\""));
     assert!(json.contains("\"reason\": \"all of it\""));
     // Snippets embed quotes from source; they must be escaped.
@@ -211,7 +213,7 @@ fn report_is_valid_shape_and_sorted_fields() {
 
 #[test]
 fn empty_report_renders_empty_array() {
-    let json = render_report(&[]);
+    let json = render_report(&[], &[]);
     assert!(json.contains("\"findings\": []"));
     assert!(json.contains("\"total\": 0"));
 }

@@ -78,21 +78,6 @@ impl ClassDescription {
         self
     }
 
-    /// Declares an object property of this class with the given range.
-    pub fn object_property(
-        mut self,
-        property: impl Into<String>,
-        range: impl Into<String>,
-    ) -> Self {
-        self.object_properties.push(ObjectPropertyDecl {
-            property: property.into(),
-            range: range.into(),
-            transitive: false,
-            symmetric: false,
-        });
-        self
-    }
-
     /// Declares a *transitive* object property (like `imcl:locatedIn`).
     pub fn transitive_object_property(
         mut self,

@@ -251,12 +251,6 @@ impl Reasoner {
         r
     }
 
-    /// Adds one rule.
-    pub fn add_rule(&mut self, rule: Rule) {
-        self.rules.push(rule);
-        self.occurrences = None;
-    }
-
     /// Adds many rules.
     pub fn add_rules(&mut self, rules: impl IntoIterator<Item = Rule>) {
         self.rules.extend(rules);

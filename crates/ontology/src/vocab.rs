@@ -5,8 +5,6 @@
 pub mod rdf {
     /// `rdf:type`.
     pub const TYPE: &str = "rdf:type";
-    /// `rdf:Property`.
-    pub const PROPERTY: &str = "rdf:Property";
 }
 
 /// `rdfs:` names.
@@ -21,8 +19,6 @@ pub mod rdfs {
     pub const RANGE: &str = "rdfs:range";
     /// `rdfs:comment`.
     pub const COMMENT: &str = "rdfs:comment";
-    /// `rdfs:label`.
-    pub const LABEL: &str = "rdfs:label";
 }
 
 /// `owl:` names.
@@ -50,22 +46,10 @@ pub mod owl {
 pub mod imcl {
     /// `imcl:locatedIn` — transitive containment of places.
     pub const LOCATED_IN: &str = "imcl:locatedIn";
-    /// `imcl:compatible` — derived compatibility between resources.
-    pub const COMPATIBLE: &str = "imcl:compatible";
     /// `imcl:responseTime` — measured network response time (ms).
     pub const RESPONSE_TIME: &str = "imcl:responseTime";
     /// `imcl:address` — host address of a resource.
     pub const ADDRESS: &str = "imcl:address";
-    /// `imcl:actName` — name of a derived action.
-    pub const ACT_NAME: &str = "imcl:actName";
-    /// `imcl:srcAddress` — source of a derived move action.
-    pub const SRC_ADDRESS: &str = "imcl:srcAddress";
-    /// `imcl:destAddress` — destination of a derived move action.
-    pub const DEST_ADDRESS: &str = "imcl:destAddress";
-    /// `imcl:Resource` — root class of shareable resources.
-    pub const RESOURCE: &str = "imcl:Resource";
-    /// `imcl:Printer` — the running example class.
-    pub const PRINTER: &str = "imcl:Printer";
     /// `imcl:Transferable` — resources that may be shipped.
     pub const TRANSFERABLE: &str = "imcl:Transferable";
     /// `imcl:UnTransferable` — resources that must stay put.
@@ -74,16 +58,4 @@ pub mod imcl {
     pub const SUBSTITUTABLE: &str = "imcl:Substitutable";
     /// `imcl:UnSubstitutable` — resources without stand-ins.
     pub const UNSUBSTITUTABLE: &str = "imcl:UnSubstitutable";
-}
-
-/// `xsd:` datatype names.
-pub mod xsd {
-    /// `xsd:string`.
-    pub const STRING: &str = "xsd:string";
-    /// `xsd:integer`.
-    pub const INTEGER: &str = "xsd:integer";
-    /// `xsd:double`.
-    pub const DOUBLE: &str = "xsd:double";
-    /// `xsd:boolean`.
-    pub const BOOLEAN: &str = "xsd:boolean";
 }

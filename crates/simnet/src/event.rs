@@ -687,13 +687,6 @@ impl<W> EventQueue<W> {
         }
     }
 
-    pub fn kind(&self) -> QueueKind {
-        match self {
-            EventQueue::Calendar(_) => QueueKind::Calendar,
-            EventQueue::Reference(_) => QueueKind::ReferenceHeap,
-        }
-    }
-
     // mdlint::hot
     pub fn push(&mut self, at: SimTime, payload: Payload<W>) -> EventId {
         match self {

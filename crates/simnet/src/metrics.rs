@@ -355,12 +355,6 @@ impl MetricsRegistry {
             .observe(d);
     }
 
-    /// Registers (or replaces) a histogram with custom bucket bounds.
-    pub fn register_histogram(&mut self, name: &'static str, bounds_micros: &[u64]) {
-        self.histograms
-            .insert(Cow::Borrowed(name), Histogram::with_bounds(bounds_micros));
-    }
-
     /// The histogram `name`, if it exists.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)

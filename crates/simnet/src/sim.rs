@@ -71,11 +71,6 @@ impl<W> Simulator<W> {
         }
     }
 
-    /// Which queue implementation this simulator runs on.
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
-    }
-
     /// The current simulated instant.
     pub fn now(&self) -> SimTime {
         self.now
@@ -223,12 +218,6 @@ impl<W> Simulator<W> {
             }
         }
         self.now = self.now.max(deadline);
-    }
-
-    /// Runs for `span` of simulated time from the current instant.
-    pub fn run_for(&mut self, world: &mut W, span: SimDuration) {
-        let deadline = self.now + span;
-        self.run_until(world, deadline);
     }
 
     fn within_limit(&self) -> bool {

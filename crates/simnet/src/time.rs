@@ -75,13 +75,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference between two instants.
-    ///
-    /// Returns `None` when `earlier` is later than `self`.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -108,11 +101,6 @@ impl SimDuration {
     /// Creates a duration from whole minutes.
     pub const fn from_mins(mins: u64) -> Self {
         SimDuration(mins * 60 * 1_000_000)
-    }
-
-    /// Creates a duration from whole hours — diurnal-scale scenarios.
-    pub const fn from_hours(hours: u64) -> Self {
-        SimDuration(hours * 3_600 * 1_000_000)
     }
 
     /// Creates a duration from fractional seconds, saturating at zero for
@@ -143,11 +131,6 @@ impl SimDuration {
     /// Seconds in this duration, with fractional part.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Whether this duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// Saturating addition.
@@ -277,8 +260,6 @@ mod tests {
         let late = SimTime::from_millis(2);
         assert_eq!(early - late, SimDuration::ZERO);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
-        assert_eq!(late.checked_since(early), Some(SimDuration::from_millis(1)));
     }
 
     #[test]

@@ -465,11 +465,6 @@ impl Topology {
         self.hosts.iter()
     }
 
-    /// All hosts within one space.
-    pub fn hosts_in(&self, space: SpaceId) -> impl Iterator<Item = &Host> {
-        self.hosts.iter().filter(move |h| h.space == space)
-    }
-
     /// Number of spaces.
     pub fn space_count(&self) -> usize {
         self.spaces.len()

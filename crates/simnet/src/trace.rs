@@ -541,13 +541,6 @@ impl Trace {
         self.entries.iter().any(|e| e.message().contains(needle))
     }
 
-    /// Index of the first entry containing `needle`, if any.
-    pub fn position_of(&self, needle: &str) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| e.message().contains(needle))
-    }
-
     /// Asserts that the given needles occur in order (not necessarily
     /// adjacent). Returns the first missing or out-of-order needle.
     pub fn check_sequence<'a>(&self, needles: &[&'a str]) -> Result<(), &'a str> {
@@ -582,7 +575,6 @@ mod tests {
         assert_eq!(t.entries().len(), 2);
         assert_eq!(t.by_category(TraceCategory::Agent).count(), 1);
         assert!(t.contains("decision"));
-        assert_eq!(t.position_of("beacon"), Some(0));
     }
 
     #[test]

@@ -26,7 +26,9 @@ pub enum WireError {
         /// The declared length.
         declared: u64,
     },
-    /// The envelope checksum did not match the payload.
+    /// A payload did not match the digest it was checked against: a
+    /// snapshot delta applied to a base other than the one it was computed
+    /// from.
     ChecksumMismatch,
     /// A boolean byte was neither 0 nor 1.
     InvalidBool(u8),
@@ -48,7 +50,7 @@ impl fmt::Display for WireError {
             WireError::LengthOverflow { declared } => {
                 write!(f, "declared length {declared} exceeds sanity limit")
             }
-            WireError::ChecksumMismatch => write!(f, "envelope checksum mismatch"),
+            WireError::ChecksumMismatch => write!(f, "payload does not match its expected digest"),
             WireError::InvalidBool(b) => write!(f, "invalid boolean byte {b}"),
         }
     }

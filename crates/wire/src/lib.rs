@@ -8,8 +8,12 @@
 //! * [`Wire`] — encode/decode/`encoded_len` (exact, ahead of time).
 //! * [`impl_wire_struct!`] / [`impl_wire_enum!`] — impl-writing macros.
 //! * [`Blob`] — verbatim byte payloads (music files, slide decks).
-//! * [`Envelope`] — checksummed framing used on links, so the fault-injection
-//!   tests can corrupt frames in flight and watch the middleware recover.
+//! * [`digest_of`] — the stable content digest that the data path's
+//!   component cache and delta shipping key on.
+//!
+//! Links carry these encodings unframed: the simulated network loses a
+//! transfer whole (see `FaultInjector`) and never flips a byte, so no
+//! checksum framing sits between the platform and the wire.
 //!
 //! A custom format (rather than `serde`) is used because the offline crate
 //! set has no serde *format* crate, and because byte-exact size accounting
@@ -32,7 +36,6 @@
 #![warn(missing_docs)]
 
 mod digest;
-mod envelope;
 mod error;
 mod macros;
 mod reader;
@@ -41,7 +44,6 @@ mod wire;
 pub use bytes;
 
 pub use digest::{digest_of, Digest};
-pub use envelope::{fnv1a, Envelope};
 pub use error::WireError;
 pub use reader::{Reader, MAX_DECLARED_LEN};
 pub use wire::{from_bytes, to_bytes, Blob, Wire};

@@ -3,7 +3,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use mdagent_wire::{from_bytes, to_bytes, Blob, Envelope, Wire};
+use mdagent_wire::{from_bytes, to_bytes, Blob, Wire};
 use proptest::prelude::*;
 
 fn assert_roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
@@ -67,39 +67,11 @@ proptest! {
     }
 
     #[test]
-    fn envelope_frame_roundtrip(v in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let env = Envelope::from_payload(v);
-        let frame = env.to_frame();
-        prop_assert_eq!(frame.len(), env.frame_len());
-        let back = Envelope::from_frame(&frame).unwrap();
-        prop_assert_eq!(back, env);
-    }
-
-    #[test]
     fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
         // Any of these may fail, but none may panic.
         let _ = from_bytes::<u64>(&bytes);
         let _ = from_bytes::<String>(&bytes);
         let _ = from_bytes::<Vec<u32>>(&bytes);
         let _ = from_bytes::<Option<Blob>>(&bytes);
-        let _ = Envelope::from_frame(&bytes);
-    }
-
-    #[test]
-    fn corrupt_frames_never_open_cleanly_as_original(
-        payload in proptest::collection::vec(any::<u8>(), 1..64),
-        flip in any::<u8>(),
-    ) {
-        let env = Envelope::from_payload(payload);
-        let mut frame = env.to_frame();
-        let idx = (flip as usize) % frame.len();
-        frame[idx] ^= 0x55;
-        // Whatever happens, a successfully parsed frame must carry the
-        // right checksum for its own payload (self-consistency); it can
-        // only equal the original if the flip hit redundant varint bits,
-        // which our encoding never produces.
-        if let Ok(parsed) = Envelope::from_frame(&frame) {
-            prop_assert_ne!(parsed.to_frame()[idx], env.to_frame()[idx]);
-        }
     }
 }

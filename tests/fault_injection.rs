@@ -1,13 +1,13 @@
-//! Fault injection: corrupt frames, failing reconstruction factories,
-//! agents killed in transit, dead letters — the middleware must degrade
-//! loudly and never strand state silently.
+//! Fault injection: failing reconstruction factories, agents killed in
+//! transit, dead letters — the middleware must degrade loudly and never
+//! strand state silently.
 
 use mdagent::agent::{
     AclMessage, Agent, AgentId, Cx, Journey, LifecycleState, Performative, Platform, PlatformEnv,
     PlatformHost,
 };
 use mdagent::simnet::{CpuFactor, SimDuration, Simulator, Topology};
-use mdagent::wire::{Envelope, WireError};
+use mdagent::wire::WireError;
 
 struct World {
     platform: Platform<World>,
@@ -100,36 +100,6 @@ fn kill_in_transit_discards_the_arrival() {
     // The agent never re-materializes.
     assert_eq!(w.platform.agent_state(&id), Some(LifecycleState::Deleted));
     assert_eq!(w.env.metrics.counter("platform.checkin_failures"), 0);
-}
-
-#[test]
-fn corrupted_frames_are_rejected_not_misparsed() {
-    // Every single-byte corruption of a sealed frame either fails to parse
-    // or fails its checksum — never yields a different payload silently.
-    let msg = AclMessage::new(
-        Performative::Request,
-        AgentId::new("a", "p"),
-        AgentId::new("b", "p"),
-    )
-    .with_ontology("mdagent.migrate")
-    .with_content(vec![42; 64]);
-    let env = Envelope::seal(&msg);
-    let frame = env.to_frame();
-    let mut silently_accepted = 0;
-    for i in 0..frame.len() {
-        let mut corrupted = frame.clone();
-        corrupted[i] ^= 0xA5;
-        if let Ok(parsed) = Envelope::from_frame(&corrupted) {
-            // Parsed frames must carry a *consistent* checksum; if the
-            // payload differs from the original, the checksum bytes were
-            // what we corrupted, which from_frame would have caught —
-            // so any accepted frame must equal the original payload.
-            if parsed.payload() != env.payload() {
-                silently_accepted += 1;
-            }
-        }
-    }
-    assert_eq!(silently_accepted, 0, "no corruption may pass unnoticed");
 }
 
 #[test]

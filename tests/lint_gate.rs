@@ -2,7 +2,9 @@
 //! justified entries in `lint-allow.toml`). This is the same scan `cargo
 //! run -p mdlint` performs in CI, wired into plain `cargo test` so a
 //! violation fails the default test run too. The committed
-//! `LINT_report.json` must be this scan's report, and well formed.
+//! `LINT_report.json` must be this scan's report, and well formed; that
+//! pins the census of unreferenced `pub` items, so a new one shows up as
+//! a diff of the report.
 
 use std::path::Path;
 
@@ -25,7 +27,7 @@ fn workspace_is_mdlint_clean() {
         unallowed.join("\n")
     );
 
-    let report = mdlint::report::render_report(&result.findings);
+    let report = mdlint::report::render_report(&result.findings, &result.unreferenced);
     let committed = std::fs::read_to_string(root.join("LINT_report.json"))
         .expect("LINT_report.json is committed");
     assert!(
@@ -37,7 +39,7 @@ fn workspace_is_mdlint_clean() {
 
 /// The report's schema and invariants, as CI consumers read them.
 fn check_report(doc: &Value) {
-    assert_eq!(doc["schema"].as_str(), Some("mdlint-report-v2"));
+    assert_eq!(doc["schema"].as_str(), Some("mdlint-report-v3"));
     let findings = doc["findings"].as_arr().expect("findings");
     let count = |key: &str| doc["counts"][key].as_u64().expect(key);
     assert_eq!(count("total"), findings.len() as u64);
@@ -65,6 +67,21 @@ fn check_report(doc: &Value) {
             );
         }
     }
+    let unreferenced = doc["unreferenced"].as_arr().expect("unreferenced");
+    assert_eq!(count("unreferenced"), unreferenced.len() as u64);
+    let keys: Vec<(&str, u64, &str)> = unreferenced
+        .iter()
+        .map(|u| {
+            let file = u["file"].as_str().expect("file");
+            assert!(
+                file.starts_with("crates/") && file.contains("/src/"),
+                "{u:?}"
+            );
+            let name = u["name"].as_str().expect("name");
+            (file, u["line"].as_u64().expect("line"), name)
+        })
+        .collect();
+    assert!(keys.windows(2).all(|w| w[0] < w[1]), "census is sorted");
     // The R7/R8 annotations must actually be armed: an empty graph pass
     // would also report zero unallowed findings.
     for rule in ["R7", "R8"] {
