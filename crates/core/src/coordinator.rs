@@ -71,13 +71,6 @@ impl Coordinator {
         }
     }
 
-    /// Removes an observer. Returns whether it existed.
-    pub fn deregister_observer(&mut self, name: &str) -> bool {
-        let before = self.observers.len();
-        self.observers.retain(|o| o.name != name);
-        self.observers.len() != before
-    }
-
     /// Sets a state entry, bumping and returning the new version.
     pub fn set_state(&mut self, key: impl Into<String>, value: impl Into<String>) -> u64 {
         self.state.insert(key.into(), value.into());
@@ -140,13 +133,6 @@ impl Coordinator {
         }
     }
 
-    /// Removes a synchronization link.
-    pub fn remove_sync_link(&mut self, app: AppId) -> bool {
-        let before = self.sync_links_raw.len();
-        self.sync_links_raw.retain(|&a| a != app.0);
-        self.sync_links_raw.len() != before
-    }
-
     /// Linked replica applications.
     pub fn sync_links(&self) -> Vec<AppId> {
         self.sync_links_raw.iter().copied().map(AppId).collect()
@@ -170,8 +156,6 @@ mod tests {
         assert_eq!(c.stale_observers(), vec!["b".to_string()]);
         let _v2 = c.set_state("k", "2");
         assert_eq!(c.stale_observers().len(), 2, "a is stale again");
-        assert!(c.deregister_observer("b"));
-        assert!(!c.deregister_observer("b"));
     }
 
     #[test]
@@ -192,9 +176,6 @@ mod tests {
         c.add_sync_link(AppId(1));
         c.add_sync_link(AppId(2));
         assert_eq!(c.sync_links(), vec![AppId(1), AppId(2)]);
-        assert!(c.remove_sync_link(AppId(1)));
-        assert!(!c.remove_sync_link(AppId(1)));
-        assert_eq!(c.sync_links(), vec![AppId(2)]);
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! Owns the migration data-path optimizations of PR 3 and all of their
 //! state: components whose bytes the destination already holds travel as
 //! digests only, and a snapshot whose base the destination acknowledged
-//! travels as an encoding diff. The arrival side resolves both against
-//! the layer's content store — and falls back to a full-snapshot resend
-//! when a delta's base is gone. The data path is on exactly when this
-//! layer is in the stack; the builder appends it innermost on
+//! travels as an encoding diff. The arrival side resolves elided digests
+//! against the layer's content store and checks a delta against the
+//! snapshot manager's stored encodings, falling back to a full-snapshot
+//! resend when the delta's base is gone or the check fails. The data path
+//! is on exactly when this layer is in the stack; the builder appends it
+//! innermost on
 //! [`MiddlewareBuilder::data_path`](crate::MiddlewareBuilder::data_path).
 
 use mdagent_fx::FxHashMap;
@@ -19,7 +21,7 @@ use crate::datapath::ComponentCache;
 use crate::error::CoreError;
 use crate::messages::Cargo;
 use crate::middleware::Middleware;
-use crate::snapshot::{Snapshot, SnapshotDelta};
+use crate::snapshot::Snapshot;
 
 use super::{Arrival, CargoDraft, InFlight, MigrationLayer};
 
@@ -97,12 +99,12 @@ impl MigrationLayer for DataPathLayer {
         // Delta snapshots: when the destination acknowledged an earlier
         // snapshot, ship only the encoding diff against it (if smaller).
         let key = (draft.dest_host.0, draft.snapshot.app_name.clone());
-        if let Some(base) = self
-            .snapshot_bases
-            .get(&key)
-            .and_then(|seq| world.snapshots.by_sequence(&draft.snapshot.app_name, *seq))
-        {
-            let delta = SnapshotDelta::between(base, &draft.snapshot);
+        if let Some(delta) = self.snapshot_bases.get(&key).and_then(|base| {
+            let snapshot = &draft.snapshot;
+            world
+                .snapshots
+                .delta(&snapshot.app_name, *base, snapshot.sequence)
+        }) {
             let header = draft.snapshot.header();
             let delta_len = delta.wire_len() + header.wire_len();
             let full_len = draft.snapshot.wire_len();
@@ -213,26 +215,24 @@ impl DataPathLayer {
 }
 
 impl Middleware {
-    /// The snapshot a cargo carries: the full one, or the reconstruction
-    /// of its delta against the base the destination holds.
+    /// The snapshot a cargo carries: the full one, or the one its delta
+    /// stands for, checked against the base the destination holds
+    /// ([`SnapshotManager::resolve`](crate::SnapshotManager::resolve)).
     ///
     /// # Errors
     ///
-    /// [`CoreError::SnapshotDeltaMismatch`] when the base is gone or its
-    /// digest diverged — the caller must resend the full snapshot, never
-    /// silently deploy the header stub.
+    /// [`CoreError::SnapshotDeltaMismatch`] when the base is gone, its
+    /// digest diverged or the reconstruction fails its check — the caller
+    /// must resend the full snapshot, never silently deploy the header
+    /// stub.
     fn resolve_snapshot(world: &mut Middleware, cargo: &Cargo) -> Result<Snapshot, CoreError> {
         let Some(delta) = &cargo.snapshot_delta else {
             return Ok(cargo.snapshot.clone());
         };
-        world
-            .snapshots
-            .by_sequence(&delta.app_name, delta.base_sequence)
-            .and_then(|base| delta.apply(base).ok())
-            .ok_or_else(|| {
-                world.env.metrics.incr_static("migration.delta_base_miss");
-                CoreError::SnapshotDeltaMismatch(delta.app_name.clone())
-            })
+        world.snapshots.resolve(delta).ok_or_else(|| {
+            world.env.metrics.incr_static("migration.delta_base_miss");
+            CoreError::SnapshotDeltaMismatch(delta.app_name.clone())
+        })
     }
 
     /// Recovery from a rejected delta: fetch the full snapshot the delta

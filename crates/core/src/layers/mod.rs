@@ -209,8 +209,10 @@ pub struct FlightSetup {
 pub struct Arrival {
     /// The wrap's snapshot capture sequence (the exactly-once identity).
     pub capture_sequence: u64,
-    /// Snapshot resolved by a data-path layer (delta applied / full
-    /// resend); the driver falls back to the cargo's own snapshot.
+    /// Snapshot resolved by a data-path layer (delta checked / full
+    /// resend); the driver falls back to the cargo's own snapshot. The
+    /// driver restores it by move, so the after-check-in hooks find only
+    /// its [`header`](Snapshot::header) here: name and sequence.
     pub snapshot: Option<Snapshot>,
     /// Elided components a data-path layer materialized from the store.
     pub components: Vec<Component>,

@@ -100,7 +100,7 @@ pub use profile::{DeviceClass, DeviceProfile, UserProfile};
 pub use rules::{
     decide_move, decide_move_with, paper_rules, DecisionEngine, MoveDecision, PAPER_RULES,
 };
-pub use snapshot::{is_consistent, Snapshot, SnapshotDelta, SnapshotManager};
+pub use snapshot::{Snapshot, SnapshotDelta, SnapshotManager};
 pub use timing::{CostModel, HostClock, PhaseTimes, RoundTrip};
 
 // Fault injection is configured through the builder; re-export the simnet

@@ -1361,7 +1361,7 @@ impl Middleware {
         // with an empty stack the wire payload deploys as-is. The
         // destination inventory is what was preinstalled there plus the
         // cargo (shipped bytes and cache-elided components alike).
-        let snapshot = arrival
+        let mut snapshot = arrival
             .snapshot
             .take()
             .unwrap_or_else(|| cargo.snapshot.clone());
@@ -1402,7 +1402,7 @@ impl Middleware {
                 app.host = dest;
                 app.state = AppState::Migrating;
                 app.components = inventory;
-                let _ = SnapshotManager::restore(&snapshot, app);
+                let _ = SnapshotManager::restore_by_move(&mut snapshot, app);
                 let mut rebind_cost = SimDuration::ZERO;
                 let rebind_outcomes = Middleware::rebind_app(world, app_id, &cargo, src_host);
                 for outcome in &rebind_outcomes {
@@ -1448,7 +1448,7 @@ impl Middleware {
                 replica.state = AppState::Migrating;
                 replica.mobile_agent = Some(ma.clone());
                 replica.cloned_from = Some(app_id);
-                let _ = SnapshotManager::restore(&snapshot, &mut replica);
+                let _ = SnapshotManager::restore_by_move(&mut snapshot, &mut replica);
                 // The replica links back to its source, and the source to
                 // the new replica.
                 replica.coordinator.add_sync_link(app_id);
@@ -1463,6 +1463,7 @@ impl Middleware {
                 (replica_id, shipped, remote, resume_cost, adaptation)
             }
         };
+        // The state moved into the application; the header is left.
         arrival.snapshot = Some(snapshot);
         arrival.resume_cost = resume_cost;
         arrival.cpu = cpu;

@@ -3,10 +3,10 @@
 //! "The snapshot management is responsible for persistence process control
 //! of running applications."
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
-use mdagent_wire::bytes::BytesMut;
-use mdagent_wire::{digest_of, impl_wire_struct, to_bytes, Wire, WireError};
+use mdagent_wire::{impl_wire_struct, to_bytes, Digest, Wire, WireError};
 
 use crate::app::Application;
 use crate::coordinator::Coordinator;
@@ -57,7 +57,10 @@ impl Snapshot {
 /// and suffix of the base and next encodings are elided, and only the
 /// differing middle travels. Repeat migrations of an application whose
 /// state changed a little therefore ship a few hundred bytes instead of
-/// the whole serialized state.
+/// the whole serialized state. Both ends work from the encodings the
+/// [`SnapshotManager`] stores beside its retained snapshots: the sender
+/// diffs them ([`SnapshotManager::delta`]) and the destination checks the
+/// reconstruction against the target's ([`SnapshotManager::resolve`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotDelta {
     /// Application name (lets the receiver find its base without
@@ -88,34 +91,50 @@ impl_wire_struct!(SnapshotDelta {
     middle
 });
 
-/// Encoding used for diffing: the sequence field is zeroed so the
-/// always-changing capture counter at the tail does not defeat the
-/// common-suffix trim (it travels separately in the delta). The fields
-/// are encoded in place, in wire order, without cloning the snapshot.
-fn normalized_bytes(snap: &Snapshot) -> Vec<u8> {
-    let Snapshot {
-        app_name,
-        coordinator,
-        profile_bytes,
-        sequence: _,
-    } = snap;
-    let len = app_name.encoded_len()
-        + coordinator.encoded_len()
-        + profile_bytes.encoded_len()
-        + 0u64.encoded_len();
-    let mut buf = BytesMut::with_capacity(len);
-    app_name.encode(&mut buf);
-    coordinator.encode(&mut buf);
-    profile_bytes.encode(&mut buf);
-    0u64.encode(&mut buf);
-    buf.freeze()
+/// A snapshot's encodings as the delta path uses them, computed in one
+/// pass: the normalized encoding it diffs, and the content digest of the
+/// full wire encoding that guards a delta's base.
+#[derive(Debug, Clone)]
+struct Encoding {
+    /// The wire encoding with the sequence field zeroed, so the
+    /// always-changing capture counter at the tail does not defeat the
+    /// common-suffix trim (it travels separately in the delta).
+    normalized: Vec<u8>,
+    /// `digest_of` the snapshot itself, sequence included.
+    digest: u64,
+}
+
+impl Encoding {
+    fn of(snap: &Snapshot) -> Encoding {
+        let mut normalized = to_bytes(snap);
+        let digest = Digest::of_bytes(&normalized).as_u64();
+        // The sequence is the last field: swap its varint for that of 0.
+        normalized.truncate(normalized.len() - snap.sequence.encoded_len());
+        normalized.push(0);
+        Encoding { normalized, digest }
+    }
+}
+
+/// A retained snapshot with its [`Encoding`], stored beside it on first
+/// use. Nothing mutates a retained snapshot, so the stored encoding cannot
+/// go stale; a manager whose data path never asks computes none.
+#[derive(Debug, Clone)]
+struct Retained {
+    snapshot: Snapshot,
+    encoding: OnceCell<Encoding>,
+}
+
+impl Retained {
+    fn encoding(&self) -> &Encoding {
+        self.encoding.get_or_init(|| Encoding::of(&self.snapshot))
+    }
 }
 
 impl SnapshotDelta {
     /// Encodes `next` as a delta against `base`.
-    pub fn between(base: &Snapshot, next: &Snapshot) -> SnapshotDelta {
-        let old = normalized_bytes(base);
-        let new = normalized_bytes(next);
+    fn between(base: &Retained, next: &Retained) -> SnapshotDelta {
+        let old = &base.encoding().normalized;
+        let new = &next.encoding().normalized;
         let prefix = old
             .iter()
             .zip(new.iter())
@@ -130,17 +149,47 @@ impl SnapshotDelta {
             .take_while(|(a, b)| a == b)
             .count();
         SnapshotDelta {
-            app_name: next.app_name.clone(),
-            base_sequence: base.sequence,
-            base_digest: digest_of(base).as_u64(),
-            sequence: next.sequence,
+            app_name: next.snapshot.app_name.clone(),
+            base_sequence: base.snapshot.sequence,
+            base_digest: base.encoding().digest,
+            sequence: next.snapshot.sequence,
             prefix_len: prefix as u64,
             suffix_len: suffix as u64,
             middle: new[prefix..new.len() - suffix].to_vec(),
         }
     }
 
-    /// Reconstructs the full snapshot from the receiver's base copy.
+    /// The base's prefix and suffix this delta keeps, when `base` is the
+    /// snapshot it was computed against and the lengths fit inside it.
+    fn kept_ends<'a>(&self, base: &'a Encoding) -> Option<(&'a [u8], &'a [u8])> {
+        if base.digest != self.base_digest {
+            return None;
+        }
+        let prefix = usize::try_from(self.prefix_len).ok()?;
+        let suffix = usize::try_from(self.suffix_len).ok()?;
+        let (head, rest) = base.normalized.split_at_checked(prefix)?;
+        let tail = rest.get(rest.len().checked_sub(suffix)?..)?;
+        Some((head, tail))
+    }
+
+    /// Whether the delta applied to `base` reproduces `target`'s encoding
+    /// byte for byte: the base's prefix, the shipped middle and the base's
+    /// suffix are compared in place, without assembling a buffer.
+    fn rebuilds(&self, base: &Retained, target: &Retained) -> bool {
+        self.kept_ends(base.encoding()).is_some_and(|(head, tail)| {
+            target
+                .encoding()
+                .normalized
+                .strip_prefix(head)
+                .and_then(|rest| rest.strip_suffix(tail))
+                .is_some_and(|middle| middle == self.middle)
+        })
+    }
+
+    /// Reconstructs the full snapshot from the receiver's base copy by
+    /// decoding the reassembled encoding. The check-in decodes only when
+    /// the target has left the bounded history
+    /// ([`SnapshotManager::resolve`]); the tests use it as the oracle.
     ///
     /// # Errors
     ///
@@ -148,19 +197,14 @@ impl SnapshotDelta {
     /// delta was computed against; decoding errors if the reassembled
     /// bytes are malformed.
     pub fn apply(&self, base: &Snapshot) -> Result<Snapshot, WireError> {
-        if digest_of(base).as_u64() != self.base_digest {
-            return Err(WireError::ChecksumMismatch);
-        }
-        let old = normalized_bytes(base);
-        let prefix = self.prefix_len as usize;
-        let suffix = self.suffix_len as usize;
-        if prefix > old.len() || suffix > old.len() - prefix {
-            return Err(WireError::ChecksumMismatch);
-        }
-        let mut bytes = Vec::with_capacity(prefix + self.middle.len() + suffix);
-        bytes.extend_from_slice(&old[..prefix]);
+        let encoding = Encoding::of(base);
+        let (head, tail) = self
+            .kept_ends(&encoding)
+            .ok_or(WireError::ChecksumMismatch)?;
+        let mut bytes = Vec::with_capacity(head.len() + self.middle.len() + tail.len());
+        bytes.extend_from_slice(head);
         bytes.extend_from_slice(&self.middle);
-        bytes.extend_from_slice(&old[old.len() - suffix..]);
+        bytes.extend_from_slice(tail);
         let mut snapshot: Snapshot = mdagent_wire::from_bytes(&bytes)?;
         snapshot.sequence = self.sequence;
         Ok(snapshot)
@@ -188,7 +232,7 @@ impl SnapshotDelta {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SnapshotManager {
-    history: BTreeMap<String, Vec<Snapshot>>,
+    history: BTreeMap<String, Vec<Retained>>,
     capacity: usize,
     sequence: u64,
 }
@@ -216,11 +260,16 @@ impl SnapshotManager {
         if entry.len() == self.capacity {
             entry.remove(0);
         }
-        entry.push(snap.clone());
+        entry.push(Retained {
+            snapshot: snap.clone(),
+            encoding: OnceCell::new(),
+        });
         snap
     }
 
     /// Restores a snapshot into an application (coordinator + profile).
+    /// The fault layer's rollback restores from a retained snapshot this
+    /// way.
     ///
     /// # Errors
     ///
@@ -231,9 +280,25 @@ impl SnapshotManager {
         Ok(())
     }
 
+    /// [`restore`](Self::restore) for a snapshot the caller is done with:
+    /// the coordinator moves into the application instead of being
+    /// copied, and `snap` is left as its [`header`](Snapshot::header).
+    ///
+    /// # Errors
+    ///
+    /// Propagates profile decoding failures.
+    pub fn restore_by_move(snap: &mut Snapshot, app: &mut Application) -> Result<(), WireError> {
+        app.coordinator = std::mem::take(&mut snap.coordinator);
+        app.user_profile = mdagent_wire::from_bytes(&std::mem::take(&mut snap.profile_bytes))?;
+        Ok(())
+    }
+
     /// The latest retained snapshot of an app.
     pub fn latest(&self, app_name: &str) -> Option<&Snapshot> {
-        self.history.get(app_name).and_then(|v| v.last())
+        self.history
+            .get(app_name)
+            .and_then(|v| v.last())
+            .map(|r| &r.snapshot)
     }
 
     /// Number of retained snapshots for an app.
@@ -242,22 +307,50 @@ impl SnapshotManager {
     }
 
     /// A retained snapshot of an app by capture sequence number, if it is
-    /// still within the bounded history. Used to resolve the base of a
-    /// [`SnapshotDelta`].
+    /// still within the bounded history.
     pub fn by_sequence(&self, app_name: &str, sequence: u64) -> Option<&Snapshot> {
+        self.entry(app_name, sequence).map(|r| &r.snapshot)
+    }
+
+    fn entry(&self, app_name: &str, sequence: u64) -> Option<&Retained> {
         self.history
             .get(app_name)
-            .and_then(|v| v.iter().find(|s| s.sequence == sequence))
+            .and_then(|v| v.iter().find(|r| r.snapshot.sequence == sequence))
     }
-}
 
-/// Consistency check used by the tests and the MA after restore: the
-/// restored application must agree with the snapshot on state version and
-/// content.
-pub fn is_consistent(snap: &Snapshot, app: &Application) -> bool {
-    app.name == snap.app_name
-        && app.coordinator.version() == snap.coordinator.version()
-        && app.coordinator.state_map() == snap.coordinator.state_map()
+    /// The delta of retained snapshot `sequence` of an app against its
+    /// retained snapshot `base_sequence`, diffed from their stored
+    /// encodings. `None` unless both are retained.
+    pub fn delta(
+        &self,
+        app_name: &str,
+        base_sequence: u64,
+        sequence: u64,
+    ) -> Option<SnapshotDelta> {
+        let base = self.entry(app_name, base_sequence)?;
+        let next = self.entry(app_name, sequence)?;
+        Some(SnapshotDelta::between(base, next))
+    }
+
+    /// The snapshot a delta stands for, resolved against the snapshots
+    /// retained here, as the destination's check-in does.
+    ///
+    /// When the delta's target is retained, the reconstruction is checked
+    /// byte for byte against the target's stored encoding, and a match
+    /// yields a copy of the target: bytes equal to a snapshot's encoding
+    /// decode to exactly that snapshot, so this is what decoding them
+    /// would yield. Only a target that has left the bounded history is
+    /// decoded with [`SnapshotDelta::apply`]. `None` when the base is not
+    /// retained, its digest differs, or the check or the decode fails.
+    pub fn resolve(&self, delta: &SnapshotDelta) -> Option<Snapshot> {
+        let base = self.entry(&delta.app_name, delta.base_sequence)?;
+        match self.entry(&delta.app_name, delta.sequence) {
+            Some(target) => delta
+                .rebuilds(base, target)
+                .then(|| target.snapshot.clone()),
+            None => delta.apply(&base.snapshot).ok(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -267,6 +360,7 @@ mod tests {
     use crate::profile::UserProfile;
     use mdagent_context::UserId;
     use mdagent_simnet::HostId;
+    use mdagent_wire::digest_of;
 
     fn app() -> Application {
         let mut app = Application::new(AppId(0), "player", HostId(0));
@@ -276,18 +370,39 @@ mod tests {
         app
     }
 
+    /// The delta between two retained snapshots of the test app.
+    fn delta(mgr: &SnapshotManager, base: &Snapshot, next: &Snapshot) -> SnapshotDelta {
+        mgr.delta("player", base.sequence, next.sequence).unwrap()
+    }
+
     #[test]
     fn capture_restore_identity() {
         let mut mgr = SnapshotManager::new(4);
         let source = app();
         let snap = mgr.capture(&source);
-        assert!(is_consistent(&snap, &source));
+        assert_eq!(snap.app_name, source.name);
+        assert_eq!(snap.coordinator, source.coordinator);
 
         let mut fresh = Application::new(AppId(1), "player", HostId(1));
         SnapshotManager::restore(&snap, &mut fresh).unwrap();
         assert_eq!(fresh.coordinator.state("position-ms"), Some("92000"));
         assert_eq!(fresh.user_profile.preference("volume"), Some("8"));
-        assert!(is_consistent(&snap, &fresh));
+        assert_eq!(fresh.coordinator, snap.coordinator);
+    }
+
+    #[test]
+    fn restore_by_move_leaves_the_header() {
+        let mut mgr = SnapshotManager::new(4);
+        let mut snap = mgr.capture(&app());
+        let header = snap.header();
+        let mut by_ref = Application::new(AppId(1), "player", HostId(1));
+        SnapshotManager::restore(&snap, &mut by_ref).unwrap();
+
+        let mut by_move = Application::new(AppId(2), "player", HostId(1));
+        SnapshotManager::restore_by_move(&mut snap, &mut by_move).unwrap();
+        assert_eq!(by_move.coordinator, by_ref.coordinator);
+        assert_eq!(by_move.user_profile, by_ref.user_profile);
+        assert_eq!(snap, header);
     }
 
     #[test]
@@ -312,7 +427,8 @@ mod tests {
         let mut a = app();
         let snap = mgr.capture(&a);
         a.coordinator.set_state("track", "changed.mp3");
-        assert!(!is_consistent(&snap, &a));
+        assert_ne!(a.coordinator.state_map(), snap.coordinator.state_map());
+        assert_ne!(a.coordinator.version(), snap.coordinator.version());
     }
 
     #[test]
@@ -328,13 +444,18 @@ mod tests {
     #[test]
     fn normalized_bytes_are_the_zero_sequence_encoding() {
         let mut mgr = SnapshotManager::new(4);
-        let snap = mgr.capture(&app());
-        assert_ne!(snap.sequence, 0);
-        let zeroed = Snapshot {
-            sequence: 0,
-            ..snap.clone()
-        };
-        assert_eq!(normalized_bytes(&snap), to_bytes(&zeroed));
+        let a = app();
+        // Sequences on both sides of the one-byte varint boundary.
+        for _ in 0..130 {
+            let snap = mgr.capture(&a);
+            let zeroed = Snapshot {
+                sequence: 0,
+                ..snap.clone()
+            };
+            let encoding = Encoding::of(&snap);
+            assert_eq!(encoding.normalized, to_bytes(&zeroed));
+            assert_eq!(encoding.digest, digest_of(&snap).as_u64());
+        }
     }
 
     #[test]
@@ -346,9 +467,10 @@ mod tests {
         a.coordinator.set_state("position-ms", "184000");
         let next = mgr.capture(&a);
 
-        let delta = SnapshotDelta::between(&base, &next);
+        let delta = delta(&mgr, &base, &next);
         let rebuilt = delta.apply(&base).unwrap();
         assert_eq!(rebuilt, next, "delta apply must reproduce the snapshot");
+        assert_eq!(mgr.resolve(&delta), Some(next.clone()));
         assert!(
             delta.wire_len() < next.wire_len(),
             "small state change must encode smaller than the full snapshot: {} vs {}",
@@ -365,13 +487,15 @@ mod tests {
         a.coordinator
             .set_state("playlist", "a-very-long-newly-added-entry");
         let grown = mgr.capture(&a);
-        let d1 = SnapshotDelta::between(&base, &grown);
+        let d1 = delta(&mgr, &base, &grown);
         assert_eq!(d1.apply(&base).unwrap(), grown);
+        assert_eq!(mgr.resolve(&d1), Some(grown.clone()));
 
         a.coordinator.set_state("playlist", "x");
         let shrunk = mgr.capture(&a);
-        let d2 = SnapshotDelta::between(&grown, &shrunk);
+        let d2 = delta(&mgr, &grown, &shrunk);
         assert_eq!(d2.apply(&grown).unwrap(), shrunk);
+        assert_eq!(mgr.resolve(&d2), Some(shrunk));
     }
 
     #[test]
@@ -381,7 +505,7 @@ mod tests {
         let base = mgr.capture(&a);
         a.coordinator.set_state("track", "fugue.mp3");
         let next = mgr.capture(&a);
-        let delta = SnapshotDelta::between(&base, &next);
+        let delta = delta(&mgr, &base, &next);
 
         a.coordinator.set_state("track", "toccata.mp3");
         let diverged = mgr.capture(&a);
@@ -389,6 +513,11 @@ mod tests {
             delta.apply(&diverged),
             Err(WireError::ChecksumMismatch)
         ));
+        let rebased = SnapshotDelta {
+            base_sequence: diverged.sequence,
+            ..delta
+        };
+        assert_eq!(mgr.resolve(&rebased), None);
     }
 
     #[test]
@@ -398,12 +527,21 @@ mod tests {
         let base = mgr.capture(&a);
         a.coordinator.set_state("track", "fugue.mp3");
         let next = mgr.capture(&a);
-        let delta = SnapshotDelta::between(&base, &next);
+        let delta = delta(&mgr, &base, &next);
         let bytes = to_bytes(&delta);
         assert_eq!(bytes.len() as u64, delta.wire_len());
         let back: SnapshotDelta = mdagent_wire::from_bytes(&bytes).unwrap();
         assert_eq!(back, delta);
         assert_eq!(back.apply(&base).unwrap(), next);
+    }
+
+    #[test]
+    fn delta_needs_both_snapshots_retained() {
+        let mut mgr = SnapshotManager::new(4);
+        let base = mgr.capture(&app());
+        assert!(mgr.delta("player", base.sequence, 999).is_none());
+        assert!(mgr.delta("player", 999, base.sequence).is_none());
+        assert!(mgr.delta("ghost", base.sequence, base.sequence).is_none());
     }
 
     #[test]
@@ -437,5 +575,6 @@ mod tests {
         snap.profile_bytes = vec![0xFF, 0xFF, 0xFF];
         let mut fresh = Application::new(AppId(1), "player", HostId(1));
         assert!(SnapshotManager::restore(&snap, &mut fresh).is_err());
+        assert!(SnapshotManager::restore_by_move(&mut snap, &mut fresh).is_err());
     }
 }

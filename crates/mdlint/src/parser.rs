@@ -625,17 +625,45 @@ pub fn parse_file(rel_path: &str, source: &str) -> ParsedFile {
     }
 }
 
+/// The index of the `(` that opens a call of the ident at `toks[i]`: the
+/// next token, or the one after a turbofish `::<..>`. The generic list is
+/// skipped by `<`/`>` depth; a nested `>>` arrives as two `>` tokens, and
+/// the `>` of a `->` closes nothing.
+fn call_paren(toks: &[Tok], i: usize) -> Option<usize> {
+    let punct = |k: usize, c: char| toks.get(k).is_some_and(|t| t.is_punct(c));
+    if punct(i + 1, '(') {
+        return Some(i + 1);
+    }
+    if !(punct(i + 1, ':') && punct(i + 2, ':') && punct(i + 3, '<')) {
+        return None;
+    }
+    let mut depth = 0usize;
+    for k in i + 3..toks.len() {
+        if punct(k, '<') {
+            depth += 1;
+        } else if punct(k, '>') && !punct(k - 1, '-') {
+            depth -= 1;
+            if depth == 0 {
+                return punct(k + 1, '(').then_some(k + 1);
+            }
+        }
+    }
+    None
+}
+
 /// Extracts the call sites in `file.toks[range]` (a fn body).
 pub fn call_sites(toks: &[Tok], range: (usize, usize)) -> Vec<CallSite> {
     let (start, end) = range;
+    let toks = &toks[..end.min(toks.len())];
     let mut out = Vec::new();
     let mut i = start;
-    while i < end.min(toks.len()) {
+    while i < toks.len() {
         let t = &toks[i];
-        if t.kind == TokKind::Ident
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-            && !NON_CALL_KEYWORDS.contains(&t.text.as_str())
-        {
+        let paren = match t.kind {
+            TokKind::Ident if !NON_CALL_KEYWORDS.contains(&t.text.as_str()) => call_paren(toks, i),
+            _ => None,
+        };
+        if let Some(paren) = paren {
             let name = t.text.clone();
             let line = t.line;
             // `.name(` → method call.
@@ -646,7 +674,7 @@ pub fn call_sites(toks: &[Tok], range: (usize, usize)) -> Vec<CallSite> {
                 } else {
                     out.push(CallSite::Method { name, line });
                 }
-                i += 2;
+                i = paren + 1;
                 continue;
             }
             // Walk back over `qual :: qual ::` segments.
@@ -670,7 +698,7 @@ pub fn call_sites(toks: &[Tok], range: (usize, usize)) -> Vec<CallSite> {
                     line,
                 });
             }
-            i += 2;
+            i = paren + 1;
             continue;
         }
         i += 1;

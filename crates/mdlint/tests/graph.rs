@@ -10,7 +10,7 @@
 
 use mdlint::allow::parse_allowlist;
 use mdlint::callgraph::CallGraph;
-use mdlint::parser::{parse_file, ParsedFile};
+use mdlint::parser::{call_sites, parse_file, CallSite, ParsedFile};
 use mdlint::report::render_report;
 use mdlint::wire_schema::{self, WireShape};
 use mdlint::{apply_allowlist, scan_graph_sources, stale_entries, Finding};
@@ -313,6 +313,41 @@ fn qualified_call_resolves_methods_and_module_free_fns() {
         vec![
             "crates/ontology/src/b.rs::Baz::make",
             "crates/ontology/src/b.rs::lookup"
+        ]
+    );
+}
+
+#[test]
+fn turbofish_calls_are_call_sites() {
+    let src = "\
+pub fn caller(msg: &Msg) {
+    decode::<Cargo>(1);
+    msg.payload::<Plan>();
+    wire::from_bytes::<Vec<Vec<u8>>>(b);
+    run::<fn() -> u8>(f);
+    let n = Vec::<u8>::len;
+}
+";
+    let file = parse_file("crates/core/src/a.rs", src);
+    let body = file.fns[0].body.unwrap();
+    let free = |name: &str, line| CallSite::Free {
+        name: name.into(),
+        line,
+    };
+    assert_eq!(
+        call_sites(&file.toks, body),
+        vec![
+            free("decode", 2),
+            CallSite::Method {
+                name: "payload".into(),
+                line: 3
+            },
+            CallSite::Path {
+                qualifier: vec!["wire".into()],
+                name: "from_bytes".into(),
+                line: 4
+            },
+            free("run", 5),
         ]
     );
 }
