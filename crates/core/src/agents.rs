@@ -9,7 +9,6 @@ use mdagent_wire::{impl_wire_struct, to_bytes};
 
 use crate::app::{AppId, AppState};
 use crate::component::ComponentKind;
-use crate::layers::TransferFlow;
 use crate::messages::{ontologies, Cargo, ContextNotice};
 use crate::middleware::Middleware;
 use crate::mobility::{BindingPolicy, DataStrategy, MigrationPlan, MobilityMode};
@@ -142,17 +141,6 @@ impl MobileAgent {
                 .incr_static("ma.no_dest_container");
             return;
         };
-        // Any policy layer may veto the departure before bytes move
-        // (e.g. an admission cap at the destination space).
-        if let TransferFlow::Reject(_) = Middleware::transfer_gate(cx.world, cx.sim, cx.id, cargo) {
-            cx.world
-                .env_mut()
-                .metrics
-                .incr_static("ma.departure_rejected");
-            Middleware::abort_departure(cx.world, cx.sim, cx.id);
-            self.cargo = None;
-            return;
-        }
         match mode {
             MobilityMode::FollowMe => {
                 // Deferred until this handler returns (we are the agent

@@ -1,16 +1,14 @@
 //! The migration data-path switch and the per-host component cache.
 //!
 //! The optimized data path — content-addressed component caching and
-//! delta-encoded snapshots — is on exactly when a
-//! [`DataPathLayer`](crate::DataPathLayer) is in the migration layer
-//! stack, and that layer owns its caches and content store.
+//! delta-encoded snapshots — is one of the migration concerns under
+//! `layers/`; its caches and content store exist only while it is on.
 //! [`DataPathOptions`] is the builder's on/off for it: off by default so
 //! the paper-calibrated figures keep their exact byte counts; the
 //! migration bench turns it on to quantify the savings.
 
-/// Whether the builder appends the optimized migration data path
-/// (component cache + delta snapshots) to the layer stack. Off by
-/// default.
+/// Whether the builder turns on the optimized migration data path
+/// (component cache + delta snapshots). Off by default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DataPathOptions {
     pub(crate) enabled: bool,
@@ -26,7 +24,7 @@ impl DataPathOptions {
 /// A per-host LRU cache of component encodings keyed by content digest.
 ///
 /// Only digests and sizes are tracked — the actual bytes live once in the
-/// data-path layer's content store; the cache answers "does this host
+/// data path's content store; the cache answers "does this host
 /// already hold these bytes" and enforces the per-host budget.
 #[derive(Debug, Clone, Default)]
 pub struct ComponentCache {

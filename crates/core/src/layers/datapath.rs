@@ -1,19 +1,19 @@
-//! [`DataPathLayer`]: content-cache elision + snapshot deltas.
+//! The data path: content-cache elision and snapshot deltas.
 //!
-//! Owns the migration data-path optimizations of PR 3 and all of their
-//! state: components whose bytes the destination already holds travel as
-//! digests only, and a snapshot whose base the destination acknowledged
-//! travels as an encoding diff. The arrival side resolves elided digests
-//! against the layer's content store and checks a delta against the
-//! snapshot manager's stored encodings, falling back to a full-snapshot
-//! resend when the delta's base is gone or the check fails. The data path
-//! is on exactly when this layer is in the stack; the builder appends it
-//! innermost on
-//! [`MiddlewareBuilder::data_path`](crate::MiddlewareBuilder::data_path).
+//! The migration data-path optimizations and all of their state:
+//! components whose bytes the destination already holds travel as digests
+//! only, and a snapshot whose base the destination acknowledged travels
+//! as an encoding diff. The arrival side resolves elided digests against
+//! the content store and checks a delta against the snapshot manager's
+//! stored encodings, falling back to a full-snapshot resend when the
+//! delta's base is gone or the check fails. The state lives in
+//! `Middleware::data_path`, present exactly when
+//! [`MiddlewareBuilder::data_path`](crate::MiddlewareBuilder::data_path)
+//! turned it on; every function here is a no-op without it.
 
 use mdagent_fx::FxHashMap;
-use mdagent_registry::ApplicationRecord;
-use mdagent_simnet::{HostId, SimTime, Simulator};
+use mdagent_registry::{ApplicationRecord, RegistryFederation};
+use mdagent_simnet::{HostId, MetricsRegistry, SimTime, Topology};
 use mdagent_wire::Wire;
 
 use crate::component::{Component, ComponentSet};
@@ -23,17 +23,15 @@ use crate::messages::Cargo;
 use crate::middleware::Middleware;
 use crate::snapshot::Snapshot;
 
-use super::{Arrival, CargoDraft, InFlight, MigrationLayer};
-
 /// Per-host budget of cached component bytes; least recently used
 /// entries are evicted first.
 const CACHE_CAPACITY_BYTES: u64 = 8 * 1024 * 1024;
 
-/// The data-path concern as a drop-in layer, with its content-addressed
-/// state: per-host LRU caches, the byte store elided digests resolve
-/// against, and the snapshot sequences each host acknowledged.
+/// The data path's content-addressed state: per-host LRU caches, the
+/// byte store elided digests resolve against, and the snapshot sequences
+/// each host acknowledged.
 #[derive(Debug, Default)]
-pub struct DataPathLayer {
+pub(crate) struct DataPath {
     /// Per-host caches of component encodings, keyed by content digest.
     caches: FxHashMap<HostId, ComponentCache>,
     /// Content-addressed store of component bytes known to the middleware;
@@ -44,117 +42,121 @@ pub struct DataPathLayer {
     snapshot_bases: FxHashMap<(u32, String), u64>,
 }
 
-impl MigrationLayer for DataPathLayer {
-    fn name(&self) -> &'static str {
-        "data-path"
-    }
+/// Bytes a wrap saved by eliding cached components and by shipping a
+/// snapshot delta.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Savings {
+    /// Bytes the elision saved.
+    pub(crate) cache: u64,
+    /// Bytes the delta saved.
+    pub(crate) delta: u64,
+}
 
-    fn before_register(&mut self, record: &mut ApplicationRecord, components: &ComponentSet) {
-        // Advertise `(component, digest)` pairs so a wrap can elide a
-        // component the registered host demonstrably holds.
-        for component in components.iter() {
-            record.set_digest(component.name().to_owned(), component.digest().as_u64());
+/// Registration: advertises `(component, digest)` pairs on a registry
+/// record, so a wrap can elide a component the registered host
+/// demonstrably holds.
+pub(crate) fn advertise(record: &mut ApplicationRecord, components: &ComponentSet) {
+    for component in components.iter() {
+        record.set_digest(component.name().to_owned(), component.digest().as_u64());
+    }
+}
+
+/// Wrap: components whose bytes the destination already holds travel as
+/// digests only, and the snapshot travels as an encoding diff when the
+/// destination acknowledged an earlier one and the diff is smaller.
+pub(crate) fn wrap(world: &mut Middleware, cargo: &mut Cargo) -> Savings {
+    let Middleware {
+        data_path: Some(data_path),
+        snapshots,
+        federation,
+        env,
+        ..
+    } = world
+    else {
+        return Savings::default();
+    };
+    let dest = cargo.plan.dest_host();
+    let mut saved = Savings::default();
+    let components = std::mem::take(&mut cargo.components);
+    for component in components.iter() {
+        let digest = component.digest().as_u64();
+        data_path
+            .store
+            .entry(digest)
+            .or_insert_with(|| component.clone());
+        if data_path.host_holds_content(&env.topology, federation, dest, digest) {
+            saved.cache += component.encoded_len() as u64;
+            cargo.elided.push((component.name().to_owned(), digest));
+            env.metrics.incr_static("migration.cache_hits");
+        } else {
+            env.metrics.incr_static("migration.cache_misses");
+            cargo.components.insert(component.clone());
         }
     }
+    if saved.cache > 0 {
+        env.metrics
+            .incr_by_static("migration.bytes_saved_cache", saved.cache);
+    }
 
-    fn on_provision(&mut self, host: HostId, components: &ComponentSet) {
+    let snapshot = &cargo.snapshot;
+    let key = (dest.0, snapshot.app_name.clone());
+    if let Some(delta) = data_path
+        .snapshot_bases
+        .get(&key)
+        .and_then(|base| snapshots.delta(&snapshot.app_name, *base, snapshot.sequence))
+    {
+        let header = snapshot.header();
+        let delta_len = delta.wire_len() + header.wire_len();
+        let full_len = snapshot.wire_len();
+        if delta_len < full_len {
+            saved.delta = full_len - delta_len;
+            cargo.snapshot_delta = Some(delta);
+            cargo.snapshot = header;
+            env.metrics
+                .incr_by_static("migration.bytes_saved_delta", saved.delta);
+        }
+    }
+    saved
+}
+
+/// Check-in: the snapshot the cargo stands for (its delta checked against
+/// the retained base, or the full snapshot resent) and the elided
+/// components materialized from the store. `None` with the data path off:
+/// the cargo deploys as shipped.
+pub(crate) fn checkin(
+    world: &mut Middleware,
+    now: SimTime,
+    cargo: &Cargo,
+) -> Option<(Snapshot, Vec<Component>)> {
+    world.data_path.as_ref()?;
+    let snapshot = match Middleware::resolve_snapshot(world, cargo) {
+        Ok(snapshot) => snapshot,
+        Err(_) => Middleware::resend_full_snapshot(world, now, cargo),
+    };
+    let components = world
+        .data_path
+        .as_deref()?
+        .fetch_elided(&mut world.env.metrics, cargo);
+    Some((snapshot, components))
+}
+
+/// After install: the destination holds the cargo's components and the
+/// snapshot `snapshot` (its header suffices) names.
+pub(crate) fn landed(world: &mut Middleware, cargo: &Cargo, snapshot: &Snapshot) {
+    if let Some(data_path) = world.data_path.as_deref_mut() {
+        data_path.note_arrival(cargo.plan.dest_host(), cargo, snapshot);
+    }
+}
+
+impl DataPath {
+    /// Provisioning: `host` holds `components` before any migration
+    /// brings them.
+    pub(crate) fn seed_host(&mut self, host: HostId, components: &ComponentSet) {
         for component in components.iter() {
             self.remember_content(host, component);
         }
     }
 
-    fn before_wrap(
-        &mut self,
-        world: &mut Middleware,
-        sim: &mut Simulator<Middleware>,
-        draft: &mut CargoDraft,
-    ) {
-        let _ = sim;
-        // Content-addressed elision: components whose bytes the
-        // destination already holds travel as digests only.
-        let components = std::mem::take(&mut draft.components);
-        let mut kept = ComponentSet::new();
-        for component in components.iter() {
-            let digest = component.digest().as_u64();
-            self.store
-                .entry(digest)
-                .or_insert_with(|| component.clone());
-            if self.host_holds_content(world, draft.dest_host, digest) {
-                draft.bytes_saved_cache += component.encoded_len() as u64;
-                draft.elided.push((component.name().to_owned(), digest));
-                world.env.metrics.incr_static("migration.cache_hits");
-            } else {
-                world.env.metrics.incr_static("migration.cache_misses");
-                kept.insert(component.clone());
-            }
-        }
-        draft.components = kept;
-        if draft.bytes_saved_cache > 0 {
-            world
-                .env
-                .metrics
-                .incr_by_static("migration.bytes_saved_cache", draft.bytes_saved_cache);
-        }
-
-        // Delta snapshots: when the destination acknowledged an earlier
-        // snapshot, ship only the encoding diff against it (if smaller).
-        let key = (draft.dest_host.0, draft.snapshot.app_name.clone());
-        if let Some(delta) = self.snapshot_bases.get(&key).and_then(|base| {
-            let snapshot = &draft.snapshot;
-            world
-                .snapshots
-                .delta(&snapshot.app_name, *base, snapshot.sequence)
-        }) {
-            let header = draft.snapshot.header();
-            let delta_len = delta.wire_len() + header.wire_len();
-            let full_len = draft.snapshot.wire_len();
-            if delta_len < full_len {
-                draft.bytes_saved_delta = full_len - delta_len;
-                draft.snapshot_delta = Some(delta);
-                draft.snapshot = header;
-                world
-                    .env
-                    .metrics
-                    .incr_by_static("migration.bytes_saved_delta", draft.bytes_saved_delta);
-            }
-        }
-    }
-
-    fn before_checkin(
-        &mut self,
-        world: &mut Middleware,
-        sim: &mut Simulator<Middleware>,
-        cargo: &Cargo,
-        flight: Option<&InFlight>,
-        arrival: &mut Arrival,
-    ) {
-        let _ = flight;
-        let now = sim.now();
-        let snapshot = match Middleware::resolve_snapshot(world, cargo) {
-            Ok(snapshot) => snapshot,
-            Err(_) => Middleware::resend_full_snapshot(world, now, cargo),
-        };
-        arrival.snapshot = Some(snapshot);
-        arrival.components = self.fetch_elided(world, cargo);
-    }
-
-    fn after_checkin(
-        &mut self,
-        world: &mut Middleware,
-        sim: &mut Simulator<Middleware>,
-        cargo: &Cargo,
-        flight: Option<&InFlight>,
-        arrival: &Arrival,
-    ) {
-        let _ = (world, sim, flight);
-        let Some(snapshot) = arrival.snapshot.as_ref() else {
-            return;
-        };
-        self.note_arrival(cargo.plan.dest_host(), cargo, snapshot);
-    }
-}
-
-impl DataPathLayer {
     /// Records that `host` holds the bytes of `component` (content store +
     /// per-host LRU cache).
     fn remember_content(&mut self, host: HostId, component: &Component) {
@@ -171,14 +173,20 @@ impl DataPathLayer {
 
     /// Whether `host` already holds content with this digest — via its LRU
     /// cache or a registry record advertising the digest for its space.
-    fn host_holds_content(&self, world: &Middleware, host: HostId, digest: u64) -> bool {
+    fn host_holds_content(
+        &self,
+        topology: &Topology,
+        federation: &RegistryFederation,
+        host: HostId,
+        digest: u64,
+    ) -> bool {
         if self.caches.get(&host).is_some_and(|c| c.contains(digest)) {
             return true;
         }
-        let Ok(space) = world.space_of(host) else {
+        let Ok(space) = topology.host(host).map(|h| h.space()) else {
             return false;
         };
-        world.federation.center(space).is_some_and(|center| {
+        federation.center(space).is_some_and(|center| {
             center
                 .applications()
                 .any(|r| r.host == host && r.has_digest(digest))
@@ -186,12 +194,12 @@ impl DataPathLayer {
     }
 
     /// Materializes cache-elided components from the content store.
-    fn fetch_elided(&self, world: &mut Middleware, cargo: &Cargo) -> Vec<Component> {
+    fn fetch_elided(&self, metrics: &mut MetricsRegistry, cargo: &Cargo) -> Vec<Component> {
         let mut out = Vec::with_capacity(cargo.elided.len());
         for (_, digest) in &cargo.elided {
             match self.store.get(digest) {
                 Some(component) => out.push(component.clone()),
-                None => world.env.metrics.incr_static("migration.elided_miss"),
+                None => metrics.incr_static("migration.elided_miss"),
             }
         }
         out

@@ -1,11 +1,11 @@
-//! [`ExactlyOnceLayer`]: sequence-guarded duplicate/orphan check-in.
+//! Exactly-once: sequence-guarded duplicate and orphan check-ins.
 //!
-//! Owns the idempotency guard of PR 4: every follow-me deployment is
-//! recorded in the layer under the capture sequence of the cargo's
+//! The idempotency guard: every follow-me deployment is recorded in
+//! `Middleware::deployed` under the capture sequence of the cargo's
 //! snapshot, a retried wrap whose predecessor already landed is
 //! acknowledged (never deployed a second time), and an arrival whose
-//! flight bookkeeping is gone is swallowed as an orphan. Clone arrivals
-//! install replicas unconditionally, so this layer passes them through.
+//! flight bookkeeping is gone is dropped as an orphan. Clone arrivals
+//! install replicas unconditionally, so the guard passes them through.
 //!
 //! The snapshot manager draws capture sequences from one world-wide
 //! counter, one per wrap, and a retry or a bounce re-sends the very cargo
@@ -14,132 +14,72 @@
 //! a content digest of the whole cargo, at no hashing cost.
 
 use mdagent_agent::AgentId;
-use mdagent_fx::FxHashMap;
-use mdagent_simnet::Simulator;
+use mdagent_simnet::SimTime;
 
 use crate::messages::Cargo;
 use crate::middleware::Middleware;
 use crate::mobility::MobilityMode;
 
-use super::{Arrival, CheckinFlow, InFlight, MigrationLayer};
-
-/// The exactly-once check-in concern as a drop-in layer.
-#[derive(Debug, Default)]
-pub struct ExactlyOnceLayer {
-    /// Capture sequence of the cargo last deployed per app (raw id) — the
-    /// idempotency guard that turns a duplicate check-in into an
-    /// acknowledgement.
-    deployed: FxHashMap<u32, u64>,
+/// Check-in: whether `cargo` may deploy. A duplicate of the cargo last
+/// deployed at its destination is acknowledged and closes its flight; an
+/// arrival without a flight record is counted as an orphan. Both are
+/// dropped.
+pub(crate) fn admit(world: &mut Middleware, now: SimTime, ma: &AgentId, cargo: &Cargo) -> bool {
+    if cargo.plan.mode != MobilityMode::FollowMe {
+        return true;
+    }
+    let app_id = cargo.plan.app();
+    let already_here = world.app(app_id).map(|a| a.host) == Ok(cargo.plan.dest_host())
+        && world.deployed.get(&app_id.0) == Some(&cargo.snapshot.sequence);
+    if already_here {
+        world
+            .env
+            .metrics
+            .incr_static("migration.duplicate_checkins");
+        Middleware::ctx_span(
+            world,
+            cargo.trace_ctx,
+            "migration.duplicate_checkin",
+            now,
+            now,
+        );
+        if let Some(flight) = world.in_flight.remove(ma) {
+            let tel = &mut world.env.telemetry;
+            tel.end(flight.migrate_span, now);
+            tel.attr(flight.span, "status", "duplicate");
+            tel.end(flight.span, now);
+        }
+        return false;
+    }
+    if !world.in_flight.contains_key(ma) {
+        world.env.metrics.incr_static("migration.orphan_arrivals");
+        Middleware::ctx_span(world, cargo.trace_ctx, "migration.orphan_arrival", now, now);
+        return false;
+    }
+    true
 }
 
-impl MigrationLayer for ExactlyOnceLayer {
-    fn name(&self) -> &'static str {
-        "exactly-once"
-    }
-
-    fn wrap_checkin(
-        &mut self,
-        world: &mut Middleware,
-        sim: &mut Simulator<Middleware>,
-        ma: &AgentId,
-        cargo: &Cargo,
-        arrival: &mut Arrival,
-    ) -> CheckinFlow {
-        if cargo.plan.mode != MobilityMode::FollowMe {
-            return CheckinFlow::Proceed;
-        }
-        let app_id = cargo.plan.app();
-        let dest = cargo.plan.dest_host();
-        let now = sim.now();
-        // Idempotent check-in: a retried wrap whose predecessor already
-        // landed is acknowledged, never deployed a second time: the app
-        // already sits at the destination, deployed from this very wrap.
-        let already_here = world.app(app_id).map(|a| a.host) == Ok(dest)
-            && self.deployed.get(&app_id.0) == Some(&arrival.capture_sequence);
-        if already_here {
-            world
-                .env
-                .metrics
-                .incr_static("migration.duplicate_checkins");
-            Middleware::ctx_span(
-                world,
-                cargo.trace_ctx,
-                "migration.duplicate_checkin",
-                now,
-                now,
-            );
-            if let Some(flight) = world.in_flight.remove(ma) {
-                let tel = &mut world.env.telemetry;
-                tel.end(flight.migrate_span, now);
-                tel.attr(flight.span, "status", "duplicate");
-                tel.end(flight.span, now);
-            }
-            return CheckinFlow::Drop;
-        }
-        if !world.in_flight.contains_key(ma) {
-            world.env.metrics.incr_static("migration.orphan_arrivals");
-            Middleware::ctx_span(world, cargo.trace_ctx, "migration.orphan_arrival", now, now);
-            return CheckinFlow::Drop;
-        }
-        CheckinFlow::Proceed
-    }
-
-    fn after_checkin(
-        &mut self,
-        world: &mut Middleware,
-        sim: &mut Simulator<Middleware>,
-        cargo: &Cargo,
-        flight: Option<&InFlight>,
-        arrival: &Arrival,
-    ) {
-        let _ = (world, sim, flight);
-        if cargo.plan.mode != MobilityMode::FollowMe {
-            return;
-        }
-        self.deployed
-            .insert(cargo.plan.app().0, arrival.capture_sequence);
+/// After install: records the capture sequence of the follow-me cargo
+/// just deployed.
+pub(crate) fn record(world: &mut Middleware, cargo: &Cargo) {
+    if cargo.plan.mode == MobilityMode::FollowMe {
+        world
+            .deployed
+            .insert(cargo.plan.app().0, cargo.snapshot.sequence);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
     use mdagent_context::UserId;
-    use mdagent_simnet::{CpuFactor, HostId};
+    use mdagent_simnet::{CpuFactor, HostId, Simulator};
 
     use super::*;
     use crate::app::{AppId, AppState};
     use crate::component::{Component, ComponentKind, ComponentSet};
     use crate::datapath::DataPathOptions;
-    use crate::mobility::BindingPolicy;
+    use crate::mobility::{BindingPolicy, DataStrategy, MigrationPlan};
     use crate::profile::{DeviceProfile, UserProfile};
-
-    /// Every cargo as it was handed to its mobile agent, in order.
-    type Tapped = Rc<RefCell<Vec<(AgentId, Cargo)>>>;
-
-    /// An innermost layer that keeps a copy of each sealed, stamped cargo,
-    /// so a test can deliver one again.
-    #[derive(Debug)]
-    struct CargoTap(Tapped);
-
-    impl MigrationLayer for CargoTap {
-        fn name(&self) -> &'static str {
-            "cargo-tap"
-        }
-
-        fn before_transfer(
-            &mut self,
-            world: &mut Middleware,
-            sim: &mut Simulator<Middleware>,
-            ma: &AgentId,
-            cargo: &mut Cargo,
-        ) {
-            let _ = (world, sim);
-            self.0.borrow_mut().push((ma.clone(), cargo.clone()));
-        }
-    }
 
     struct Shuttle {
         world: Middleware,
@@ -147,24 +87,21 @@ mod tests {
         app: AppId,
         a: HostId,
         b: HostId,
-        tap: Tapped,
+        /// Each leg's destination and the capture sequence of its wrap.
+        legs: Vec<(HostId, u64)>,
     }
 
     /// Two spaces with one host each, the data path fully on (so repeat
     /// legs ship header-only snapshots and elided components), and a
     /// player deployed on `a`.
     fn shuttle() -> Shuttle {
-        let tap = Tapped::default();
         let mut builder = Middleware::builder();
         let office = builder.space("office");
         let lab = builder.space("lab");
         let a = builder.host("a", office, CpuFactor::REFERENCE, DeviceProfile::pc);
         let b = builder.host("b", lab, CpuFactor::REFERENCE, DeviceProfile::pc);
         builder.gateway(a, b).unwrap();
-        builder
-            .seed(3)
-            .data_path(DataPathOptions::all())
-            .layer(Box::new(CargoTap(Rc::clone(&tap))));
+        builder.seed(3).data_path(DataPathOptions::all());
         let (mut world, mut sim) = builder.build();
         let components: ComponentSet = [
             Component::synthetic("codec", ComponentKind::Logic, 18_000),
@@ -188,7 +125,7 @@ mod tests {
             app,
             a,
             b,
-            tap,
+            legs: Vec::new(),
         }
     }
 
@@ -204,13 +141,40 @@ mod tests {
                 BindingPolicy::Adaptive,
             )
             .unwrap();
+            let wrapped = self.world.snapshots.latest("player").unwrap().sequence;
+            self.legs.push((dest, wrapped));
             self.sim.run(&mut self.world);
         }
 
-        /// Delivers a tapped cargo to its destination once more.
+        /// Delivers leg `index`'s cargo to its destination once more. The
+        /// guard knows a cargo by its plan and capture sequence, so a
+        /// cargo rebuilt from the two is that leg's cargo to it.
         fn redeliver(&mut self, index: usize) {
-            let (ma, cargo) = self.tap.borrow()[index].clone();
-            Middleware::arrive(&mut self.world, &mut self.sim, &ma, cargo);
+            let (dest, sequence) = self.legs[index];
+            let ma = self.world.app(self.app).unwrap().mobile_agent.clone();
+            let cargo = Cargo {
+                plan: MigrationPlan {
+                    app_raw: self.app.0,
+                    mode: MobilityMode::FollowMe,
+                    policy: BindingPolicy::Adaptive,
+                    dest_host_raw: dest.0,
+                    ship_components: Vec::new(),
+                    data_strategy: DataStrategy::RemoteStream,
+                    inter_space: true,
+                },
+                snapshot: self
+                    .world
+                    .snapshots
+                    .by_sequence("player", sequence)
+                    .unwrap()
+                    .header(),
+                components: ComponentSet::new(),
+                remote_bytes: 0,
+                elided: Vec::new(),
+                snapshot_delta: None,
+                trace_ctx: None,
+            };
+            Middleware::arrive(&mut self.world, &mut self.sim, &ma.unwrap(), cargo);
             self.sim.run(&mut self.world);
         }
 
@@ -258,7 +222,14 @@ mod tests {
             s.assert_settled_at(dest, legs + 1);
         }
         assert_eq!(s.counter("migration.duplicate_checkins"), 0);
-        assert_eq!(s.tap.borrow().len(), 3);
+        // Three wraps of an unchanged state, each its own capture.
+        let wraps = s
+            .world
+            .metrics()
+            .durations("migration.suspend")
+            .map_or(0, |d| d.count());
+        assert_eq!(wraps, 3);
+        assert!(s.legs.windows(2).all(|pair| pair[0].1 < pair[1].1));
 
         // The first leg's cargo lands where the app sits again, but the
         // app was last deployed from a later wrap: an orphan, not a

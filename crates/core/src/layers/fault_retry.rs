@@ -1,11 +1,11 @@
-//! [`FaultRetryLayer`]: watchdogs, bounded backoff, rollback.
+//! Fault retry: transfer windows, watchdogs, bounded backoff, rollback.
 //!
-//! Owns the fault-tolerance machinery of PR 4: the per-attempt transfer
-//! timeout, the watchdog that distinguishes "still in transit" from
-//! "transfer lost", RETRY nudges with bounded backoff, and the rollback
-//! that restores a follow-me application at its source when attempts run
-//! out. Without this layer nothing is armed and a lost transfer is simply
-//! lost (exactly the pre-PR-4 behavior — only safe with faults off).
+//! The fault-tolerance machinery: the per-attempt transfer timeout, the
+//! watchdog that distinguishes "still in transit" from "transfer lost",
+//! RETRY nudges with bounded backoff, and the rollback that restores a
+//! follow-me application at its source when attempts run out. Nothing is
+//! armed while fault injection is off, so fault-free runs schedule
+//! nothing extra.
 //!
 //! The retry schedule is a set of constants: three transfer attempts,
 //! exponential backoff from 200 ms capped at 5 s, and 500 ms of slack on
@@ -22,7 +22,7 @@ use crate::middleware::Middleware;
 use crate::observability::SLO_MIGRATION_COMPLETION;
 use crate::snapshot::SnapshotManager;
 
-use super::{FlightSetup, InFlight, MigrationLayer};
+use super::InFlight;
 
 /// Transfer attempts (the initial send plus retries) before a follow-me
 /// migration rolls back at its source: two retries.
@@ -45,8 +45,17 @@ fn backoff(retry: u32) -> SimDuration {
 }
 
 /// Per-attempt transfer window: agent setup plus the estimated pipelined
-/// transfer of `bytes` of cargo in its agent frame, plus the slack.
-fn transfer_window(world: &Middleware, src: HostId, dest: HostId, bytes: u64) -> SimDuration {
+/// transfer of `bytes` of cargo in its agent frame, plus the slack. Zero
+/// while fault injection is off: no watchdog waits on it.
+pub(crate) fn transfer_timeout(
+    world: &Middleware,
+    src: HostId,
+    dest: HostId,
+    bytes: u64,
+) -> SimDuration {
+    if !world.env.faults.enabled() {
+        return SimDuration::ZERO;
+    }
     let transfer = world
         .env
         .topology
@@ -55,45 +64,15 @@ fn transfer_window(world: &Middleware, src: HostId, dest: HostId, bytes: u64) ->
     MIGRATION_SETUP + transfer + TIMEOUT_SLACK
 }
 
-/// The retry/rollback concern as a drop-in layer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FaultRetryLayer;
-
-impl MigrationLayer for FaultRetryLayer {
-    fn name(&self) -> &'static str {
-        "fault-retry"
-    }
-
-    fn before_depart(
-        &mut self,
-        world: &mut Middleware,
-        sim: &mut Simulator<Middleware>,
-        setup: &mut FlightSetup,
-    ) {
-        let _ = sim;
-        // Only computed (and a watchdog armed) when faults are on, so
-        // fault-free runs schedule nothing extra.
-        if world.env.faults.enabled() {
-            setup.timeout =
-                transfer_window(world, setup.src_host, setup.dest_host, setup.wrapped_bytes);
-        }
-    }
-
-    fn after_suspend(
-        &mut self,
-        world: &mut Middleware,
-        sim: &mut Simulator<Middleware>,
-        ma: &AgentId,
-    ) {
-        // Clone flights get their own watchdog at dispatch time (the
-        // source flight is transient bookkeeping); follow-me is guarded
-        // from the start.
-        let Some(flight) = world.in_flight.get(ma) else {
-            return;
-        };
-        if world.env.faults.enabled() && !flight.cloned {
-            Middleware::arm_watchdog(sim, ma.clone(), 1, flight.suspend + flight.timeout);
-        }
+/// Depart: guards a follow-me flight with a watchdog from the start
+/// (faults on only). A clone flight gets its own watchdog at dispatch
+/// time; the source flight is transient bookkeeping.
+pub(crate) fn arm_follow_me(world: &Middleware, sim: &mut Simulator<Middleware>, ma: &AgentId) {
+    let Some(flight) = world.in_flight.get(ma) else {
+        return;
+    };
+    if world.env.faults.enabled() && !flight.cloned {
+        Middleware::arm_watchdog(sim, ma.clone(), 1, flight.suspend + flight.timeout);
     }
 }
 
@@ -107,7 +86,7 @@ impl Middleware {
     /// the source's record is cleared by its cargo timer (which never ends
     /// spans), and the clone's arrival ends both at the destination. The
     /// unconfined front the mobile agent calls, keeping the watchdog
-    /// machinery inside the layer modules.
+    /// machinery in this module.
     pub(crate) fn note_clone_dispatched(
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
@@ -121,12 +100,7 @@ impl Middleware {
             .apps
             .get(source.app.0 as usize)
             .map_or(source.dest_host, |a| a.host);
-        let faults = world.env.faults.enabled();
-        let timeout = if faults {
-            transfer_window(world, src_host, source.dest_host, source.shipped_bytes)
-        } else {
-            SimDuration::ZERO
-        };
+        let timeout = transfer_timeout(world, src_host, source.dest_host, source.shipped_bytes);
         let now = sim.now();
         let flight = InFlight {
             departed_at: now,
@@ -137,15 +111,15 @@ impl Middleware {
             ..source.clone()
         };
         world.in_flight.insert(clone_id.clone(), flight);
-        if faults {
+        if world.env.faults.enabled() {
             Middleware::arm_watchdog(sim, clone_id, 1, timeout);
         }
     }
 
-    /// Abandons a flight whose departure was refused before any bytes
-    /// moved (platform rejection or a `wrap_transfer` veto): closes its
-    /// spans and, for follow-me, resumes the application in place at the
-    /// source. The unconfined front the mobile agent calls.
+    /// Abandons a flight whose departure the platform refused before any
+    /// bytes moved: closes its spans and, for follow-me, resumes the
+    /// application in place at the source. The unconfined front the
+    /// mobile agent calls.
     pub(crate) fn abort_departure(
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,

@@ -1,37 +1,31 @@
-//! [`SloLayer`]: burn-rate SLO feeds.
+//! SLO: burn-rate SLO feeds.
 //!
-//! Owns the SLO feeding of PR 7: every completed migration feeds the
-//! completion and latency SLOs, rollbacks feed a bad completion (via the
-//! fault layer calling [`Middleware::slo_record`]), and registry lookups
-//! feed the lookup-latency SLO through the unconfined
+//! Every completed migration feeds the completion and latency SLOs
+//! ([`migration_completed`]), rollbacks feed a bad completion (fault
+//! retry calls [`Middleware::slo_record`]), and registry lookups feed the
+//! lookup-latency SLO through the unconfined
 //! [`Middleware::slo_observe_lookup`] front the autonomous agent calls.
 //! All of it is a no-op unless SLO monitoring was enabled in
 //! [`ObservabilityOptions`](crate::observability::ObservabilityOptions).
 
-use mdagent_simnet::{SimDuration, SimTime, Simulator, SloEdge, TraceCategory, TraceEvent};
+use mdagent_simnet::{SimDuration, SimTime, SloEdge, TraceCategory, TraceEvent};
 
 use crate::middleware::Middleware;
 use crate::observability::{SLO_MIGRATION_COMPLETION, SLO_MIGRATION_LATENCY, SLO_REGISTRY_LOOKUP};
 
-use super::{MigrationLayer, ResumeOutcome};
-
-/// The SLO-feeding concern as a drop-in layer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SloLayer;
-
-impl MigrationLayer for SloLayer {
-    fn name(&self) -> &'static str {
-        "slo"
-    }
-
-    fn after_resume(
-        &mut self,
-        world: &mut Middleware,
-        sim: &mut Simulator<Middleware>,
-        outcome: &ResumeOutcome,
-    ) {
-        Middleware::slo_migration_completed(world, sim.now(), outcome.latency);
-    }
+/// Resume: feeds a completed migration into the completion and latency
+/// SLOs.
+pub(crate) fn migration_completed(world: &mut Middleware, now: SimTime, latency: SimDuration) {
+    let Some(opts) = world.observability.slo else {
+        return;
+    };
+    Middleware::slo_record(world, now, SLO_MIGRATION_COMPLETION, true);
+    Middleware::slo_record(
+        world,
+        now,
+        SLO_MIGRATION_LATENCY,
+        latency <= opts.migration_latency_target,
+    );
 }
 
 impl Middleware {
@@ -66,20 +60,6 @@ impl Middleware {
             .env
             .trace
             .record_event(now, TraceCategory::Agent, event);
-    }
-
-    /// Feeds a completed migration into the completion and latency SLOs.
-    fn slo_migration_completed(world: &mut Middleware, now: SimTime, latency: SimDuration) {
-        let Some(opts) = world.observability.slo else {
-            return;
-        };
-        Middleware::slo_record(world, now, SLO_MIGRATION_COMPLETION, true);
-        Middleware::slo_record(
-            world,
-            now,
-            SLO_MIGRATION_LATENCY,
-            latency <= opts.migration_latency_target,
-        );
     }
 
     /// Feeds a modeled registry lookup latency into the lookup SLO. The

@@ -17,6 +17,12 @@
 //!   sensing loop.
 //! * **Sensor layer** — simulated Cricket beacons inside the kernel.
 //!
+//! The migration lifecycle (suspend → wrap → transfer → check-in →
+//! resume) calls its five cross-cutting concerns — telemetry, fault
+//! retry, exactly-once check-in, SLO feeds and the optional data path
+//! ([`DataPathOptions`]) — directly, one private module each (DESIGN.md
+//! §15).
+//!
 //! The taxonomy of Fig. 1 is explicit in the types: [`MobilityMode`]
 //! (follow-me / clone-dispatch) × [`MobilityDomain`] (intra- / inter-space)
 //! × per-component [`MigrationPlan`]s, under an adaptive or static
@@ -84,11 +90,6 @@ pub use component::{Component, ComponentKind, ComponentSet};
 pub use coordinator::{Coordinator, ObserverRec};
 pub use datapath::{ComponentCache, DataPathOptions};
 pub use error::CoreError;
-pub use layers::{
-    AbortReason, AdmissionControlLayer, Arrival, CargoDraft, CheckinFlow, DataPathLayer,
-    ExactlyOnceLayer, FaultRetryLayer, FlightSetup, InFlight, LayerStack, MigrationLayer,
-    ResumeOutcome, SloLayer, TelemetryLayer, TransferFlow,
-};
 pub use messages::{ontologies, Cargo, ContextNotice, RetryNotice, SyncUpdate, TraceContext};
 pub use middleware::{Middleware, MiddlewareBuilder, MigrationReport};
 pub use mobility::{BindingPolicy, DataStrategy, MigrationPlan, MobilityDomain, MobilityMode};

@@ -21,10 +21,9 @@ use crate::binding::{rebind, BindingTarget, RebindOutcome};
 use crate::component::{ComponentKind, ComponentSet};
 use crate::datapath::DataPathOptions;
 use crate::error::CoreError;
-use crate::layers::{
-    self, Arrival, CargoDraft, CheckinFlow, DataPathLayer, FlightSetup, InFlight, LayerStack,
-    MigrationLayer, ResumeOutcome,
-};
+use crate::layers::datapath::{self, DataPath};
+use crate::layers::telemetry::{self, Installed};
+use crate::layers::{exactly_once, fault_retry, slo, InFlight};
 use crate::messages::{ontologies, Cargo, ContextNotice, SyncUpdate};
 use crate::mobility::{BindingPolicy, DataStrategy, MigrationPlan, MobilityMode};
 use crate::observability::ObservabilityOptions;
@@ -88,9 +87,13 @@ pub struct Middleware {
     pub(crate) observability: ObservabilityOptions,
     /// SLO monitor, present iff [`ObservabilityOptions::slo`] was set.
     pub(crate) slo: Option<SloMonitor>,
-    /// The onion chain of cross-cutting concerns around the migration
-    /// lifecycle.
-    pub(crate) layers: LayerStack,
+    /// The exactly-once guard: capture sequence of the cargo last
+    /// deployed per app (raw id).
+    pub(crate) deployed: FxHashMap<u32, u64>,
+    /// The data path's caches and content store, present iff the builder
+    /// turned it on. Boxed: one pointer when off, so the world's layout
+    /// does not grow by three hash maps.
+    pub(crate) data_path: Option<Box<DataPath>>,
     migration_log: Vec<MigrationReport>,
     rule_bases: FxHashMap<String, String>,
     sense_period: SimDuration,
@@ -148,8 +151,6 @@ pub struct MiddlewareBuilder {
     data_path: DataPathOptions,
     faults: FaultOptions,
     observability: ObservabilityOptions,
-    base_layers: Option<Vec<Box<dyn MigrationLayer>>>,
-    extra_layers: Vec<Box<dyn MigrationLayer>>,
 }
 
 impl Default for MiddlewareBuilder {
@@ -173,8 +174,6 @@ impl MiddlewareBuilder {
             data_path: DataPathOptions::default(),
             faults: FaultOptions::default(),
             observability: ObservabilityOptions::default(),
-            base_layers: None,
-            extra_layers: Vec::new(),
         }
     }
 
@@ -270,9 +269,8 @@ impl MiddlewareBuilder {
     }
 
     /// Enables the migration data-path optimizations (component cache,
-    /// delta snapshots): [`DataPathOptions::all`] appends a
-    /// [`DataPathLayer`] at the innermost position of the stack. Off by
-    /// default.
+    /// delta snapshots) with [`DataPathOptions::all`]: the world then
+    /// holds the data path's caches and content store. Off by default.
     pub fn data_path(&mut self, options: DataPathOptions) -> &mut Self {
         self.data_path = options;
         self
@@ -291,26 +289,6 @@ impl MiddlewareBuilder {
     /// identical to a build without this call.
     pub fn observability(&mut self, options: ObservabilityOptions) -> &mut Self {
         self.observability = options;
-        self
-    }
-
-    /// Replaces the whole migration layer stack (outermost first). The
-    /// default is [`LayerStack::standard`] — the four built-in concerns
-    /// in their byte-identical pre-refactor order. Passing an empty list
-    /// runs the bare lifecycle skeleton: no spans, no watchdogs, no
-    /// duplicate guard, no SLO feeds (and no elision unless
-    /// [`Self::data_path`] adds it back).
-    pub fn layers(&mut self, layers: Vec<Box<dyn MigrationLayer>>) -> &mut Self {
-        self.base_layers = Some(layers);
-        self
-    }
-
-    /// Appends one layer at the innermost position of the stack (after
-    /// the base layers — the standard four unless [`Self::layers`]
-    /// replaced them). The extension point for drop-in policy layers such
-    /// as [`crate::AdmissionControlLayer`].
-    pub fn layer(&mut self, layer: Box<dyn MigrationLayer>) -> &mut Self {
-        self.extra_layers.push(layer);
         self
     }
 
@@ -355,13 +333,6 @@ impl MiddlewareBuilder {
             env.telemetry = Telemetry::sampled(sampler);
         }
         let slo = self.observability.slo.map(|opts| opts.build_monitor());
-        let mut stack = self.base_layers.unwrap_or_else(LayerStack::standard);
-        stack.extend(self.extra_layers);
-        // The data path's hooks commute with the standard layers', so
-        // appending it innermost changes no outcome of theirs.
-        if self.data_path.enabled {
-            stack.push(Box::<DataPathLayer>::default());
-        }
         let world = Middleware {
             platform,
             env,
@@ -381,7 +352,8 @@ impl MiddlewareBuilder {
             in_flight: FxHashMap::default(),
             observability: self.observability,
             slo,
-            layers: LayerStack::new(stack),
+            deployed: FxHashMap::default(),
+            data_path: self.data_path.enabled.then(Box::default),
             migration_log: Vec::new(),
             rule_bases: FxHashMap::from_iter([(
                 "default".to_owned(),
@@ -641,8 +613,11 @@ impl Middleware {
                 record = record.with_component(kind.tag());
             }
         }
-        self.layers.before_register(&mut record, &components);
-        self.layers.on_provision(host, &components);
+        // The data path advertises the digests and seeds the host's cache.
+        if let Some(data_path) = self.data_path.as_deref_mut() {
+            datapath::advertise(&mut record, &components);
+            data_path.seed_host(host, &components);
+        }
         self.federation
             .add_center(space)
             .register_application(record);
@@ -782,12 +757,13 @@ impl Middleware {
     }
 
     fn register_app_record(world: &mut Middleware, id: AppId) -> Result<(), CoreError> {
-        // Split borrows: the layers read the live component set in place.
+        // Split borrows: the data path reads the live component set in
+        // place.
         let Middleware {
             apps,
             env,
             federation,
-            layers,
+            data_path,
             ..
         } = &mut *world;
         let app = apps.get(id.0 as usize).ok_or(CoreError::UnknownApp(id))?;
@@ -799,7 +775,9 @@ impl Middleware {
         for (k, v) in &app.requirements {
             record = record.with_requirement(k.clone(), v.clone());
         }
-        layers.before_register(&mut record, &app.components);
+        if data_path.is_some() {
+            datapath::advertise(&mut record, &app.components);
+        }
         federation.add_center(space).register_application(record);
         Ok(())
     }
@@ -1235,34 +1213,19 @@ impl Middleware {
             );
         }
 
-        // The wrap-phase layers rewrite what ships (the data-path layer
-        // elides cached components and swaps the snapshot for a delta).
         let dest_host = plan.dest_host();
-        let mode = plan.mode;
-        let mut draft = CargoDraft {
-            app: app_id,
-            mode,
-            src_host,
-            dest_host,
+        let mut cargo = Cargo {
+            plan,
             snapshot,
             components,
             remote_bytes,
             elided: Vec::new(),
             snapshot_delta: None,
-            bytes_saved_cache: 0,
-            bytes_saved_delta: 0,
-        };
-        layers::stack_before_wrap(world, sim, &mut draft);
-
-        let cargo = Cargo {
-            plan,
-            snapshot: draft.snapshot,
-            components: draft.components,
-            remote_bytes: draft.remote_bytes,
-            elided: draft.elided,
-            snapshot_delta: draft.snapshot_delta,
             trace_ctx: None,
         };
+        // The data path elides cached components and swaps the snapshot
+        // for a delta.
+        let saved = datapath::wrap(world, &mut cargo);
         let wrapped_bytes = cargo.wire_len();
         let cpu = world.env.topology.host(src_host)?.cpu();
         let suspend_cost = cpu.scale(world.cost_model.suspend_cost(wrapped_bytes));
@@ -1270,27 +1233,30 @@ impl Middleware {
             .env
             .metrics
             .observe_static("migration.suspend", suspend_cost);
-        // The departure layers fill in the rest of the flight record: the
-        // telemetry layer opens the migration root span, the fault layer
-        // computes the per-attempt watchdog window.
-        let mut setup = FlightSetup {
-            app: app_id,
-            mode,
+        // Depart: telemetry opens the migration root, fault retry sizes
+        // the watchdog window, and the flight record carries both until
+        // resume; a follow-me flight is guarded from the start.
+        let span = telemetry::depart(
+            world,
+            now,
+            &cargo,
             src_host,
-            dest_host,
             wrapped_bytes,
-            remote_bytes: cargo.remote_bytes,
             suspend_cost,
-            bytes_saved_cache: draft.bytes_saved_cache,
-            bytes_saved_delta: draft.bytes_saved_delta,
-            span: SpanId::DISABLED,
-            timeout: SimDuration::ZERO,
-        };
-        layers::stack_before_depart(world, sim, &mut setup);
-        world
-            .in_flight
-            .insert(ma.clone(), InFlight::from_setup(&setup, now));
-        layers::stack_after_suspend(world, sim, &ma);
+            saved,
+        );
+        let timeout = fault_retry::transfer_timeout(world, src_host, dest_host, wrapped_bytes);
+        let flight = InFlight::new(
+            &cargo,
+            src_host,
+            wrapped_bytes,
+            suspend_cost,
+            span,
+            timeout,
+            now,
+        );
+        world.in_flight.insert(ma.clone(), flight);
+        fault_retry::arm_follow_me(world, sim, &ma);
         let kernel_name = world.platform.name().to_owned();
         sim.schedule_in(suspend_cost, move |w, sim| {
             let mut cargo = cargo;
@@ -1298,9 +1264,9 @@ impl Middleware {
             if let Some(flight) = w.in_flight.get_mut(&ma) {
                 flight.departed_at = now;
             }
-            // Last chance to stamp the wire (the telemetry layer opens the
-            // wrap/migrate spans and propagates the trace context here).
-            layers::stack_before_transfer(w, sim, &ma, &mut cargo);
+            // Hand-over: telemetry records the wrap span, opens the
+            // migrate span and stamps the trace context onto the wire.
+            telemetry::hand_over(w, now, &ma, &mut cargo);
             w.env.trace.record_event(
                 now,
                 TraceCategory::Agent,
@@ -1336,38 +1302,32 @@ impl Middleware {
         let app_id = cargo.plan.app();
         let dest = cargo.plan.dest_host();
         let now = sim.now();
-        let mut arrival = Arrival::new(cargo.snapshot.sequence);
-        // The exactly-once layer swallows duplicate and orphan check-ins
-        // here; any layer may veto the arrival.
-        if let CheckinFlow::Drop = layers::stack_wrap_checkin(world, sim, ma, &cargo, &mut arrival)
-        {
+        // Exactly-once drops duplicate and orphan check-ins.
+        if !exactly_once::admit(world, now, ma, &cargo) {
             return None;
         }
         let flight = world.in_flight.remove(ma);
         let (suspend, migrate, root) = match (&flight, mode) {
             (Some(f), _) => (f.suspend, now.saturating_since(f.departed_at), f.span),
             // Without a bookkeeping record there is nothing to deploy
-            // against (the exactly-once layer normally catches this).
+            // against (exactly-once normally drops it first).
             (None, MobilityMode::FollowMe) => return None,
-            // A replica still installs; the telemetry layer counts the
-            // orphan.
+            // A replica still installs; telemetry counts the orphan.
             (None, MobilityMode::CloneDispatch) => {
                 (SimDuration::ZERO, SimDuration::ZERO, SpanId::DISABLED)
             }
         };
-        layers::stack_before_checkin(world, sim, &cargo, flight.as_ref(), &mut arrival);
+        telemetry::checkin(world, now, &cargo, flight.as_ref());
 
-        // The data-path layer resolves deltas/elision into the arrival;
-        // with an empty stack the wire payload deploys as-is. The
-        // destination inventory is what was preinstalled there plus the
-        // cargo (shipped bytes and cache-elided components alike).
-        let mut snapshot = arrival
-            .snapshot
-            .take()
-            .unwrap_or_else(|| cargo.snapshot.clone());
+        // The data path resolves a delta and the elided components;
+        // without it the cargo deploys as shipped. The destination
+        // inventory is what was preinstalled there plus the cargo
+        // (shipped bytes and cache-elided components alike).
+        let (mut snapshot, elided) = datapath::checkin(world, now, &cargo)
+            .unwrap_or_else(|| (cargo.snapshot.clone(), Vec::new()));
         let mut inventory = world.preinstalled_components(dest, &snapshot.app_name);
         inventory.merge(cargo.components.clone());
-        for component in std::mem::take(&mut arrival.components) {
+        for component in elided {
             inventory.insert(component);
         }
         let src_host = world.app(app_id).map(|a| a.host).unwrap_or(dest);
@@ -1377,24 +1337,18 @@ impl Middleware {
             .host(dest)
             .map(|h| h.cpu())
             .unwrap_or(CpuFactor::REFERENCE);
-        let (landed, shipped_bytes, remote_bytes, resume_cost, adaptation) = match mode {
+        let (landed, shipped_bytes, remote_bytes, resume_cost, adaptation, install) = match mode {
             MobilityMode::FollowMe => {
                 world
                     .env
                     .metrics
                     .observe_static("migration.migrate", migrate);
                 let Ok(app) = world.app_mut(app_id) else {
-                    // Destination rejected the check-in: unwind the layers
-                    // (closing the telemetry root) instead of leaking an
-                    // open span and a dead flight.
+                    // Destination rejected the check-in: telemetry closes
+                    // the root instead of leaking an open span and a dead
+                    // flight.
                     world.env.metrics.incr_static("migration.arrival_failures");
-                    layers::stack_on_abort(
-                        world,
-                        sim,
-                        ma,
-                        flight.as_ref(),
-                        layers::AbortReason::ArrivalRejected,
-                    );
+                    telemetry::rejected(world, now, flight.as_ref());
                     return None;
                 };
                 // Move the application record to the destination; data
@@ -1435,11 +1389,13 @@ impl Middleware {
                     .env
                     .metrics
                     .observe_static("migration.resume", resume_cost);
-                arrival.rebind_cost = rebind_cost;
-                arrival.adapt_cost = adapt_cost;
-                arrival.rebind_bindings = rebind_outcomes.len();
-                arrival.adapt_actions = adaptation.actions.len();
-                (app_id, shipped, remote, resume_cost, adaptation)
+                let install = Installed::FollowMe {
+                    rebind_cost,
+                    adapt_cost,
+                    bindings: rebind_outcomes.len(),
+                    actions: adaptation.actions.len(),
+                };
+                (app_id, shipped, remote, resume_cost, adaptation, install)
             }
             MobilityMode::CloneDispatch => {
                 let replica_id = AppId(world.apps.len() as u32);
@@ -1458,16 +1414,25 @@ impl Middleware {
                 }
                 let shipped = cargo.wire_len();
                 let resume_cost = cpu.scale(world.cost_model.resume_cost(shipped, 0));
-                arrival.replica = Some(replica_id);
                 let (remote, adaptation) = (cargo.remote_bytes, AdaptationReport::default());
-                (replica_id, shipped, remote, resume_cost, adaptation)
+                let install = Installed::Replica(replica_id);
+                (
+                    replica_id,
+                    shipped,
+                    remote,
+                    resume_cost,
+                    adaptation,
+                    install,
+                )
             }
         };
-        // The state moved into the application; the header is left.
-        arrival.snapshot = Some(snapshot);
-        arrival.resume_cost = resume_cost;
-        arrival.cpu = cpu;
-        layers::stack_after_checkin(world, sim, &cargo, flight.as_ref(), &arrival);
+        // After install: the data path notes what the destination now
+        // holds (the state moved into the application; the snapshot's
+        // header is left), exactly-once records the sequence, and
+        // telemetry records the rebind, adapt and resume spans.
+        datapath::landed(world, &cargo, &snapshot);
+        exactly_once::record(world, &cargo);
+        telemetry::installed(world, now, root, cpu, resume_cost, install);
         let (installed, running, completed) = match mode {
             MobilityMode::FollowMe => (
                 TraceEvent::Restore {
@@ -1534,18 +1499,15 @@ impl Middleware {
                 app.state = AppState::Running;
             }
             let latency = report.phases.suspend + report.phases.migrate + report.phases.resume;
-            let outcome = ResumeOutcome {
-                app: landed,
-                root,
-                latency,
-            };
-            layers::stack_before_resume(w, sim, &outcome);
+            // Resume: telemetry ends the root, the driver records the
+            // outcome, and the SLO concern feeds completion and latency.
+            w.env.telemetry.end(root, now);
             w.env
                 .trace
                 .record_event(now, TraceCategory::Application, running);
             w.migration_log.push(report);
             w.env.metrics.incr_static(completed);
-            layers::stack_after_resume(w, sim, &outcome);
+            slo::migration_completed(w, now, latency);
         });
         (mode == MobilityMode::CloneDispatch).then_some(landed)
     }

@@ -131,8 +131,10 @@ impl Retained {
 }
 
 impl SnapshotDelta {
-    /// Encodes `next` as a delta against `base`.
-    fn between(base: &Retained, next: &Retained) -> SnapshotDelta {
+    /// Encodes `next` as a delta against `base`. The shared prefix and
+    /// suffix never overlap, so the middle slice always exists; `None`
+    /// would mean they did.
+    fn between(base: &Retained, next: &Retained) -> Option<SnapshotDelta> {
         let old = &base.encoding().normalized;
         let new = &next.encoding().normalized;
         let prefix = old
@@ -148,15 +150,15 @@ impl SnapshotDelta {
             .take(max_suffix)
             .take_while(|(a, b)| a == b)
             .count();
-        SnapshotDelta {
+        Some(SnapshotDelta {
             app_name: next.snapshot.app_name.clone(),
             base_sequence: base.snapshot.sequence,
             base_digest: base.encoding().digest,
             sequence: next.snapshot.sequence,
             prefix_len: prefix as u64,
             suffix_len: suffix as u64,
-            middle: new[prefix..new.len() - suffix].to_vec(),
-        }
+            middle: new.get(prefix..new.len() - suffix)?.to_vec(),
+        })
     }
 
     /// The base's prefix and suffix this delta keeps, when `base` is the
@@ -268,8 +270,7 @@ impl SnapshotManager {
     }
 
     /// Restores a snapshot into an application (coordinator + profile).
-    /// The fault layer's rollback restores from a retained snapshot this
-    /// way.
+    /// Fault retry's rollback restores from a retained snapshot this way.
     ///
     /// # Errors
     ///
@@ -329,7 +330,7 @@ impl SnapshotManager {
     ) -> Option<SnapshotDelta> {
         let base = self.entry(app_name, base_sequence)?;
         let next = self.entry(app_name, sequence)?;
-        Some(SnapshotDelta::between(base, next))
+        SnapshotDelta::between(base, next)
     }
 
     /// The snapshot a delta stands for, resolved against the snapshots

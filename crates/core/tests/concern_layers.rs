@@ -1,7 +1,6 @@
-//! A migration concern is on exactly when its layer is in the stack: the
-//! data path elides components only under a `DataPathLayer`, whatever
-//! else the stack holds, and the driver alone samples the per-leg
-//! migrate phase.
+//! A migration concern is on exactly when its switch is: the data path
+//! elides components only when the builder turned it on, and the driver
+//! alone samples the per-leg migrate phase.
 
 use mdagent_context::UserId;
 use mdagent_core::{
@@ -83,7 +82,7 @@ fn cache_hits_per_leg(configure: impl FnOnce(&mut MiddlewareBuilder)) -> (Vec<u6
 
 #[test]
 fn data_path_runs_exactly_when_its_layer_is_in_the_stack() {
-    // Default build: no data-path layer, so no elision is even attempted.
+    // Default build: no data path, so no elision is even attempted.
     assert_eq!(cache_hits_per_leg(|_| {}), (vec![0, 0, 0], 0));
 
     // The first visit to B elides the provisioned UI (advertised by the
@@ -92,13 +91,6 @@ fn data_path_runs_exactly_when_its_layer_is_in_the_stack() {
     // seeded B's cache (the provision record is gone by then).
     let (hits, _) = cache_hits_per_leg(|b| {
         b.data_path(DataPathOptions::all());
-    });
-    assert_eq!(hits, vec![1, 0, 2]);
-
-    // The layer alone carries the concern: on an otherwise empty stack it
-    // elides exactly as under the standard one.
-    let (hits, _) = cache_hits_per_leg(|b| {
-        b.layers(Vec::new()).data_path(DataPathOptions::all());
     });
     assert_eq!(hits, vec![1, 0, 2]);
 }

@@ -221,7 +221,7 @@ fn seed_1_simulation_is_pinned() {
     );
 }
 
-/// A seed whose drops exhaust two flights' retries, so the fault layer's
+/// A seed whose drops exhaust two flights' retries, so fault retry's
 /// rollback restores from the retained snapshot twice.
 #[test]
 fn seed_112_simulation_with_rollbacks_is_pinned() {

@@ -1,7 +1,7 @@
-//! Regression tests for departure-rejection cleanup: a migration refused
-//! at dispatch time — whether by the platform (link down at the gateway,
-//! no route at all) or by a policy layer (admission cap) — must not leak
-//! its in-flight record or leave its telemetry root span open. Before
+//! Regression tests for departure-rejection cleanup: a migration the
+//! platform refuses at dispatch time (link down at the gateway, no route
+//! at all) must not leak its in-flight record or leave its telemetry root
+//! span open. Before
 //! the fix a deferred move or clone that failed at queue-drain time was
 //! only counted by the platform; with faults off no watchdog existed to
 //! notice, so the flight leaked forever (and a follow-me application
@@ -9,8 +9,8 @@
 
 use mdagent_context::UserId;
 use mdagent_core::{
-    AdmissionControlLayer, AppState, BindingPolicy, Component, ComponentKind, ComponentSet,
-    DeviceProfile, Middleware, MobilityMode, UserProfile,
+    AppState, BindingPolicy, Component, ComponentKind, ComponentSet, DeviceProfile, Middleware,
+    MobilityMode, UserProfile,
 };
 use mdagent_simnet::{CpuFactor, HostId, Simulator};
 
@@ -26,9 +26,7 @@ fn components() -> ComponentSet {
 
 /// The 2-hop inter-space topology: office {src — gw} over Ethernet, and
 /// gw — dest across the gateway into the away space.
-fn world_2hop(
-    configure: impl FnOnce(&mut mdagent_core::MiddlewareBuilder),
-) -> (Middleware, Simulator<Middleware>, HostId, HostId) {
+fn world_2hop() -> (Middleware, Simulator<Middleware>, HostId, HostId) {
     let mut b = Middleware::builder();
     let office = b.space("office");
     let away = b.space("away");
@@ -38,7 +36,6 @@ fn world_2hop(
     b.ethernet(src, gw).unwrap();
     b.gateway(gw, dest).unwrap();
     b.seed(11);
-    configure(&mut b);
     let (world, sim) = b.build();
     (world, sim, src, dest)
 }
@@ -65,7 +62,7 @@ fn assert_clean(world: &Middleware) {
 /// and the original application keeps running at the source.
 #[test]
 fn refused_clone_dispatch_cleans_up_the_flight() {
-    let (mut world, mut sim, src, dest) = world_2hop(|_| {});
+    let (mut world, mut sim, src, dest) = world_2hop();
     let app = Middleware::deploy_app(
         &mut world,
         &mut sim,
@@ -119,7 +116,7 @@ fn refused_clone_dispatch_cleans_up_the_flight() {
 /// with no leaked flight.
 #[test]
 fn outage_blocked_follow_me_rolls_back() {
-    let (mut world, mut sim, src, dest) = world_2hop(|_| {});
+    let (mut world, mut sim, src, dest) = world_2hop();
     let app = Middleware::deploy_app(
         &mut world,
         &mut sim,
@@ -148,44 +145,5 @@ fn outage_blocked_follow_me_rolls_back() {
     assert!(world.metrics().counter("migration.retries") >= 1);
     let app_record = world.apps().next().unwrap();
     assert_eq!(app_record.state, AppState::Running, "resumed at source");
-    assert_eq!(app_record.host, src);
-}
-
-/// A departure vetoed by a policy layer (admission cap of zero rejects
-/// every transfer) rolls the application back to Running at its source
-/// with no leaked flight and no open spans.
-#[test]
-fn admission_rejected_departure_cleans_up_the_flight() {
-    let (mut world, mut sim, src, dest) = world_2hop(|b| {
-        b.layer(Box::new(AdmissionControlLayer::new(0)));
-    });
-    let app = Middleware::deploy_app(
-        &mut world,
-        &mut sim,
-        "slide-show",
-        src,
-        components(),
-        UserProfile::new(UserId(0)),
-    )
-    .unwrap();
-    sim.run(&mut world);
-    Middleware::migrate_now(
-        &mut world,
-        &mut sim,
-        app,
-        dest,
-        MobilityMode::FollowMe,
-        BindingPolicy::Adaptive,
-    )
-    .unwrap();
-    sim.run(&mut world);
-
-    assert_clean(&world);
-    assert_eq!(world.metrics().counter("admission.rejected"), 1);
-    assert_eq!(world.metrics().counter("ma.departure_rejected"), 1);
-    assert_eq!(world.metrics().counter("migration.completed"), 0);
-    assert_eq!(world.metrics().counter("migration.rollbacks"), 1);
-    let app_record = world.apps().next().unwrap();
-    assert_eq!(app_record.state, AppState::Running, "rolled back to source");
     assert_eq!(app_record.host, src);
 }

@@ -11,7 +11,8 @@
 //!    caller's; no edge when the type has no such method.
 //! 2. `Qual::m(..)` → fns named `m` with self type `Qual` (also matches
 //!    `Self::m` against the caller's own type), plus free fns `m` in any
-//!    module named `qual` (lowercased last segment).
+//!    module named `qual`: an in-file `mod qual {}`, or the file module
+//!    itself when `m` sits at the top of `qual.rs` or `qual/mod.rs`.
 //! 3. `m(..)` → free fns `m` in the caller's own file+module if any
 //!    (lexical shadowing wins), otherwise every free fn `m` workspace-wide.
 //! 4. `expr.m(..)` → every method `m` workspace-wide, **unless** `m` is in
@@ -160,6 +161,21 @@ impl Node {
     pub fn label(&self) -> String {
         self.item.qualified()
     }
+
+    /// The name of the module the fn is defined in: its innermost in-file
+    /// `mod`, else the file's own module (`qual.rs` and `qual/mod.rs`
+    /// both define `qual`).
+    fn module_name(&self) -> Option<&str> {
+        if let Some(inner) = self.item.module.last() {
+            return Some(inner);
+        }
+        let path = self.file.strip_suffix(".rs")?;
+        let mut segments = path.rsplit('/');
+        match segments.next()? {
+            "mod" => segments.next(),
+            stem => Some(stem),
+        }
+    }
 }
 
 /// A directed call edge, labelled with the call site's source line.
@@ -249,7 +265,7 @@ impl CallGraph {
                         }
                         if let Some(cands) = free_by_name.get(name.as_str()) {
                             for &c in cands {
-                                if nodes[c].item.module.last().map(String::as_str) == Some(last) {
+                                if nodes[c].module_name() == Some(last) {
                                     targets.push(c);
                                 }
                             }

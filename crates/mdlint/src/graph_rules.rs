@@ -9,11 +9,12 @@
 //!   `vec!` / `.collect()` / unreserved `.push()` reachable from a
 //!   `// mdlint::hot` fn. Traversal stops at `// mdlint::cold` fns
 //!   (sanctioned amortized work such as capacity rebuilds).
-//! * **R9** `layer-reentrance` — fns in `crates/core/src/layers/` whose
-//!   self type is a layer (not the relocated `Middleware` internals,
-//!   which R6 already confines) must not reach the migration lifecycle
-//!   entry points; re-entering `migrate_now` from a layer hook would
-//!   recurse into the state machine mid-transition.
+//! * **R9** `layer-reentrance` — no fn in `crates/core/src/layers/`,
+//!   whatever its receiver (a free concern function or an
+//!   `impl Middleware` one), may reach the migration lifecycle entry
+//!   points; the lifecycle calls the concerns mid-transition, so a
+//!   concern re-entering `migrate_now` would recurse into the state
+//!   machine.
 //!
 //! All three rules inherit the call graph's over-approximation (see
 //! [`crate::callgraph`]): a finding means "a path exists in the
@@ -26,7 +27,8 @@ use crate::parser::{Marker, ParsedFile, NON_POSTFIX_KEYWORDS};
 use crate::rules::LAYERS_DIR;
 use crate::Finding;
 
-/// The `Middleware` migration lifecycle fns R9 forbids layers to reach.
+/// The `Middleware` migration lifecycle fns R9 forbids the concern
+/// modules to reach.
 pub const R9_LIFECYCLE: &[&str] = &[
     "prestage",
     "migrate_now",
@@ -37,7 +39,7 @@ pub const R9_LIFECYCLE: &[&str] = &[
 
 /// Async boundaries R9 does not traverse: `(self type, fn)`. Work on the
 /// far side of a message enqueue runs in a *later* event turn, after the
-/// migration state machine has settled — a layer nudging the lifecycle
+/// migration state machine has settled — a concern nudging the lifecycle
 /// through a message is the sanctioned retry mechanism, not re-entrance.
 /// R7/R8 deliberately still traverse these (a deferred panic still kills
 /// the host; a deferred alloc still burns the hot path's budget).
@@ -359,11 +361,6 @@ fn rule_r9(files: &[ParsedFile], graph: &CallGraph, out: &mut Vec<Finding>) {
     }
     for (i, node) in graph.nodes.iter().enumerate() {
         if !node.file.starts_with(LAYERS_DIR) {
-            continue;
-        }
-        // The relocated `Middleware` internals living in layer files are
-        // middleware, not layers — R6 polices their surface instead.
-        if node.item.self_ty.as_deref() == Some("Middleware") {
             continue;
         }
         let parent = graph.reach(&[i], |n| {

@@ -72,7 +72,7 @@ impl FnItem {
 pub struct UseImport {
     /// The name the import binds in this file.
     pub local: String,
-    /// Full path segments, e.g. `["crate", "layers", "stack_on_abort"]`.
+    /// Full path segments, e.g. `["crate", "layers", "telemetry"]`.
     pub path: Vec<String>,
 }
 

@@ -18,11 +18,11 @@
 //!   mentioned in each of its tracked companion functions (hand-written
 //!   encode/decode and kind/Display matches the compiler cannot check).
 //! * **R6** `concern-confinement` — migration lifecycle concerns stay in
-//!   their layer modules: each ident in [`R6_CONFINED`] (telemetry span
+//!   their modules: each ident in [`R6_CONFINED`] (telemetry span
 //!   plumbing, watchdog/rollback machinery, content-store resolution, SLO
 //!   feeds) may only appear in files under [`LAYERS_DIR`]. The migration
-//!   driver reaches the layers through the `LayerStack` traversal front
-//!   and the reviewed unconfined seams; see DESIGN.md §15.
+//!   driver calls each concern's own functions and the reviewed unconfined
+//!   seams, never these internals; see DESIGN.md §15.
 
 use crate::lexer::{lex, Tok, TokKind};
 use crate::Finding;
@@ -57,36 +57,36 @@ pub const R4_CONFINED: &[(&str, &str)] = &[
     ("burn_within", SLO_MODULE),
 ];
 
-/// The directory holding the migration layer modules. R6 sanctions the
+/// The directory holding the migration concern modules. R6 sanctions the
 /// confined idents anywhere under this prefix (the concerns cooperate
-/// across layer files), nowhere else.
+/// across their files), nowhere else; R9 polices every fn under it.
 pub const LAYERS_DIR: &str = "crates/core/src/layers/";
 
-/// The R6 confinement table: idents that implement one of the five layer
-/// concerns and must not be referenced outside [`LAYERS_DIR`]. Add an
-/// entry when a layer grows an internal whose direct use from the
-/// migration driver would smuggle a concern back into `middleware.rs`.
-/// Deliberate cross-cutting seams (`transfer_gate`, `abort_departure`,
-/// `note_clone_dispatched`, the in-flight table accessors) are *not*
+/// The R6 confinement table: idents that implement one of the five
+/// migration concerns and must not be referenced outside [`LAYERS_DIR`].
+/// Add an entry when a concern grows an internal whose direct use from
+/// the migration driver would smuggle the concern back into
+/// `middleware.rs`. The functions the driver calls at each lifecycle
+/// point, and the deliberate cross-cutting seams (`abort_departure`,
+/// `note_clone_dispatched`, the in-flight table accessors), are *not*
 /// listed — they are the reviewed surface the driver may touch.
 pub const R6_CONFINED: &[&str] = &[
-    // telemetry layer: span plumbing for the migration trace tree
+    // telemetry: span plumbing for the migration trace tree
     "ctx_span",
     "migrate_span",
-    // fault-retry layer: watchdogs, retry nudges, rollback
+    // fault retry: watchdogs, retry nudges, rollback
     "arm_watchdog",
     "check_migration",
     "rollback_migration",
-    // data-path layer: content store and snapshot resolution
+    // data path: content store and snapshot resolution
     "remember_content",
     "host_holds_content",
     "resolve_snapshot",
     "resend_full_snapshot",
     "fetch_elided",
     "note_arrival",
-    // SLO layer: burn-rate feeds
+    // SLO: burn-rate feeds
     "slo_record",
-    "slo_migration_completed",
 ];
 
 /// A tracked enum for R5: every variant must show up in each site fn.
@@ -360,14 +360,14 @@ fn rule_r4(ctx: &FileCtx<'_>, toks: &[Tok], lines: &[&str], out: &mut Vec<Findin
 
 fn rule_r6(ctx: &FileCtx<'_>, toks: &[Tok], lines: &[&str], out: &mut Vec<Finding>) {
     // Inside the layers directory every concern ident is at home — the
-    // layers legitimately call across each other (the fault layer feeds
-    // the SLO layer on rollback).
+    // concerns legitimately call across each other (fault retry feeds
+    // the SLO on rollback).
     if ctx.rel_path.starts_with(LAYERS_DIR) {
         return;
     }
     for t in toks {
         // As with R4, test code is not exempt: tests drive migrations
-        // through the public lifecycle, never a layer's internals.
+        // through the public lifecycle, never a concern's internals.
         if t.kind != TokKind::Ident {
             continue;
         }

@@ -22,6 +22,7 @@ const R8_CLEAN: &str = include_str!("fixtures/graph_r8_clean.rs");
 const R9_VIOLATION: &str = include_str!("fixtures/graph_r9_violation.rs");
 const R9_CLEAN_LAYER: &str = include_str!("fixtures/graph_r9_clean_layer.rs");
 const R9_CLEAN_PLATFORM: &str = include_str!("fixtures/graph_r9_clean_platform.rs");
+const R9_MIDDLEWARE_FN: &str = include_str!("fixtures/graph_r9_middleware_fn.rs");
 
 fn scan(files: &[(&str, &str)]) -> Vec<Finding> {
     let owned: Vec<(String, String)> = files
@@ -155,6 +156,26 @@ fn r9_flags_layer_fn_reaching_the_lifecycle() {
         vec![
             "crates/core/src/layers/fixture.rs:7 RetryLayer::on_abort",
             "crates/core/src/layers/fixture.rs:15 Middleware::migrate_now",
+        ]
+    );
+}
+
+#[test]
+fn r9_flags_middleware_fn_in_a_layer_file_reaching_the_lifecycle() {
+    let findings = scan(&[
+        ("crates/core/src/layers/fixture.rs", R9_MIDDLEWARE_FN),
+        (
+            "crates/core/src/lifecycle_fixture.rs",
+            "pub struct World;\nimpl Middleware {\n    pub fn migrate_now(_world: &mut World) {}\n}\n",
+        ),
+    ]);
+    assert_eq!(coords(&findings, "R9"), vec![8]);
+    let f = findings.iter().find(|f| f.rule == "R9").unwrap();
+    assert_eq!(
+        f.call_path,
+        vec![
+            "crates/core/src/layers/fixture.rs:8 Middleware::feed_slo",
+            "crates/core/src/lifecycle_fixture.rs:3 Middleware::migrate_now",
         ]
     );
 }
@@ -313,6 +334,29 @@ fn qualified_call_resolves_methods_and_module_free_fns() {
         vec![
             "crates/ontology/src/b.rs::Baz::make",
             "crates/ontology/src/b.rs::lookup"
+        ]
+    );
+}
+
+#[test]
+fn qualified_call_resolves_free_fns_of_file_modules() {
+    // `store::lookup()` names the top of `store.rs`, `layers::hook()` the
+    // top of `layers/mod.rs`; a same-named fn in another file module is
+    // not `store`'s.
+    let (g, _) = build(&[
+        (
+            "crates/core/src/a.rs",
+            "pub fn caller() {\n    store::lookup();\n    crate::layers::hook();\n}\n",
+        ),
+        ("crates/core/src/store.rs", "pub fn lookup() {}\n"),
+        ("crates/core/src/layers/mod.rs", "pub fn hook() {}\n"),
+        ("crates/core/src/other.rs", "pub fn lookup() {}\n"),
+    ]);
+    assert_eq!(
+        callees(&g, "caller"),
+        vec![
+            "crates/core/src/layers/mod.rs::hook",
+            "crates/core/src/store.rs::lookup"
         ]
     );
 }
