@@ -4,6 +4,7 @@
 //! the states change, these presentations can get notified automatically."
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use mdagent_wire::impl_wire_struct;
 
@@ -26,6 +27,11 @@ impl_wire_struct!(ObserverRec { name, seen_version });
 /// changed; sync links name the replica applications (clone-dispatch) that
 /// must receive the same update over the network.
 ///
+/// Keys and values are shared strings: a copy of the coordinator (a
+/// snapshot capture, its history entry, a replica) copies the map's nodes
+/// and shares every key and value. A write replaces the written value, so
+/// no copy ever sees another's writes.
+///
 /// # Examples
 ///
 /// ```
@@ -41,7 +47,7 @@ impl_wire_struct!(ObserverRec { name, seen_version });
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Coordinator {
-    state: BTreeMap<String, String>,
+    state: BTreeMap<Arc<str>, Arc<str>>,
     version: u64,
     observers: Vec<ObserverRec>,
     sync_links_raw: Vec<u32>,
@@ -72,10 +78,22 @@ impl Coordinator {
     }
 
     /// Sets a state entry, bumping and returning the new version.
-    pub fn set_state(&mut self, key: impl Into<String>, value: impl Into<String>) -> u64 {
-        self.state.insert(key.into(), value.into());
+    pub fn set_state(&mut self, key: impl AsRef<str>, value: impl AsRef<str>) -> u64 {
+        self.put(key.as_ref(), value.as_ref());
         self.version += 1;
         self.version
+    }
+
+    /// Writes one entry: an existing key keeps its shared key string and
+    /// gets a fresh value, so copies holding the old value keep it.
+    fn put(&mut self, key: &str, value: &str) {
+        let value = Arc::from(value);
+        match self.state.get_mut(key) {
+            Some(slot) => *slot = value,
+            None => {
+                self.state.insert(Arc::from(key), value);
+            }
+        }
     }
 
     /// Applies a remote update only if it is newer than local state;
@@ -85,18 +103,18 @@ impl Coordinator {
         if version <= self.version {
             return false;
         }
-        self.state.insert(key.to_owned(), value.to_owned());
+        self.put(key, value);
         self.version = version;
         true
     }
 
     /// Reads a state entry.
     pub fn state(&self, key: &str) -> Option<&str> {
-        self.state.get(key).map(String::as_str)
+        self.state.get(key).map(AsRef::as_ref)
     }
 
     /// The whole state map.
-    pub fn state_map(&self) -> &BTreeMap<String, String> {
+    pub fn state_map(&self) -> &BTreeMap<Arc<str>, Arc<str>> {
         &self.state
     }
 
@@ -167,6 +185,50 @@ mod tests {
         assert_eq!(c.version(), 3);
         assert!(!c.apply_remote("slide", "2", 2), "stale update dropped");
         assert_eq!(c.state("slide"), Some("3"));
+    }
+
+    /// The shared value of `key`.
+    fn value(c: &Coordinator, key: &str) -> Arc<str> {
+        Arc::clone(&c.state_map()[key])
+    }
+
+    #[test]
+    fn a_write_keeps_the_key_and_replaces_the_value() {
+        let mut c = Coordinator::new();
+        c.set_state("track", "prelude.mp3");
+        let (key, old) = c.state_map().first_key_value().unwrap();
+        let (key, old) = (Arc::clone(key), Arc::clone(old));
+        c.set_state("track", "toccata.mp3");
+        let (key_now, new) = c.state_map().first_key_value().unwrap();
+        assert!(Arc::ptr_eq(&key, key_now), "the key string is kept");
+        assert!(!Arc::ptr_eq(&old, new), "the value is a new string");
+        assert_eq!(&*old, "prelude.mp3");
+        assert_eq!(c.state("track"), Some("toccata.mp3"));
+    }
+
+    #[test]
+    fn a_copy_shares_strings_and_diverges_independently() {
+        let mut source = Coordinator::new();
+        source.set_state("slide", "12");
+        source.set_state("deck", "keynote");
+        let mut replica = source.clone();
+        for key in ["slide", "deck"] {
+            assert!(Arc::ptr_eq(&value(&source, key), &value(&replica, key)));
+        }
+
+        // A write on the source leaves the replica as copied ...
+        source.set_state("slide", "13");
+        assert_eq!(replica.state("slide"), Some("12"));
+        // ... and a write on the replica leaves the source.
+        assert!(replica.apply_remote("deck", "handout", 9));
+        assert_eq!(source.state("deck"), Some("keynote"));
+        assert_eq!(replica.state("deck"), Some("handout"));
+        assert_eq!(source.state("slide"), Some("13"));
+        assert_eq!(replica.state("slide"), Some("12"));
+        // Entries neither side wrote stay shared.
+        let mut copy = source.clone();
+        copy.set_state("slide", "14");
+        assert!(Arc::ptr_eq(&value(&source, "deck"), &value(&copy, "deck")));
     }
 
     #[test]

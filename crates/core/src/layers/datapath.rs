@@ -21,7 +21,7 @@ use crate::datapath::ComponentCache;
 use crate::error::CoreError;
 use crate::messages::Cargo;
 use crate::middleware::Middleware;
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Snapshot, SnapshotDelta};
 
 /// Per-host budget of cached component bytes; least recently used
 /// entries are evicted first.
@@ -119,25 +119,31 @@ pub(crate) fn wrap(world: &mut Middleware, cargo: &mut Cargo) -> Savings {
     saved
 }
 
-/// Check-in: the snapshot the cargo stands for (its delta checked against
-/// the retained base, or the full snapshot resent) and the elided
-/// components materialized from the store. `None` with the data path off:
-/// the cargo deploys as shipped.
+/// Check-in: the snapshot a delta-carrying cargo stands for (the delta
+/// checked against the retained base, or the full snapshot resent) and the
+/// elided components materialized from the store. A cargo without a delta
+/// resolves no snapshot: it carries its own. With the data path off nothing
+/// is resolved and the cargo deploys as shipped.
 pub(crate) fn checkin(
     world: &mut Middleware,
     now: SimTime,
     cargo: &Cargo,
-) -> Option<(Snapshot, Vec<Component>)> {
-    world.data_path.as_ref()?;
-    let snapshot = match Middleware::resolve_snapshot(world, cargo) {
-        Ok(snapshot) => snapshot,
-        Err(_) => Middleware::resend_full_snapshot(world, now, cargo),
-    };
+) -> (Option<Snapshot>, Vec<Component>) {
+    if world.data_path.is_none() {
+        return (None, Vec::new());
+    }
+    let snapshot = cargo.snapshot_delta.as_ref().map(|delta| {
+        match Middleware::resolve_snapshot(world, delta) {
+            Ok(snapshot) => snapshot,
+            Err(_) => Middleware::resend_full_snapshot(world, now, cargo),
+        }
+    });
     let components = world
         .data_path
-        .as_deref()?
-        .fetch_elided(&mut world.env.metrics, cargo);
-    Some((snapshot, components))
+        .as_deref()
+        .map(|data_path| data_path.fetch_elided(&mut world.env.metrics, cargo))
+        .unwrap_or_default();
+    (snapshot, components)
 }
 
 /// After install: the destination holds the cargo's components and the
@@ -223,8 +229,8 @@ impl DataPath {
 }
 
 impl Middleware {
-    /// The snapshot a cargo carries: the full one, or the one its delta
-    /// stands for, checked against the base the destination holds
+    /// The snapshot a delta stands for, checked against the base the
+    /// destination holds
     /// ([`SnapshotManager::resolve`](crate::SnapshotManager::resolve)).
     ///
     /// # Errors
@@ -233,10 +239,10 @@ impl Middleware {
     /// digest diverged or the reconstruction fails its check — the caller
     /// must resend the full snapshot, never silently deploy the header
     /// stub.
-    fn resolve_snapshot(world: &mut Middleware, cargo: &Cargo) -> Result<Snapshot, CoreError> {
-        let Some(delta) = &cargo.snapshot_delta else {
-            return Ok(cargo.snapshot.clone());
-        };
+    fn resolve_snapshot(
+        world: &mut Middleware,
+        delta: &SnapshotDelta,
+    ) -> Result<Snapshot, CoreError> {
         world.snapshots.resolve(delta).ok_or_else(|| {
             world.env.metrics.incr_static("migration.delta_base_miss");
             CoreError::SnapshotDeltaMismatch(delta.app_name.clone())

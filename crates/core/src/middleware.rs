@@ -996,7 +996,7 @@ impl Middleware {
         key: &str,
         value: &str,
     ) -> Result<u64, CoreError> {
-        let (version, links, sender) = {
+        let (version, links) = {
             let app = world.app_mut(id)?;
             let version = app.coordinator.set_state(key, value);
             // Local observers see it immediately (observer pattern).
@@ -1004,20 +1004,17 @@ impl Middleware {
             for name in names {
                 app.coordinator.mark_seen(&name, version);
             }
-            (
-                version,
-                app.coordinator.sync_links(),
-                app.mobile_agent.clone(),
-            )
-        };
-        let Some(sender) = sender else {
-            return Ok(version);
+            if app.mobile_agent.is_none() {
+                return Ok(version);
+            }
+            (version, app.coordinator.sync_links())
         };
         for link in links {
-            let Ok(linked) = world.app(link) else {
+            // Looked up per link: sending needs the world mutably.
+            let (Ok(app), Ok(linked)) = (world.app(id), world.app(link)) else {
                 continue;
             };
-            let Some(receiver) = linked.mobile_agent.clone() else {
+            let (Some(sender), Some(receiver)) = (&app.mobile_agent, &linked.mobile_agent) else {
                 continue;
             };
             let update = SyncUpdate {
@@ -1026,7 +1023,7 @@ impl Middleware {
                 value: value.to_owned(),
                 version,
             };
-            let msg = AclMessage::new(Performative::Inform, sender.clone(), receiver)
+            let msg = AclMessage::new(Performative::Inform, sender.clone(), receiver.clone())
                 .with_ontology(ontologies::SYNC)
                 .with_payload(&update);
             Platform::send(world, sim, msg);
@@ -1296,7 +1293,7 @@ impl Middleware {
         world: &mut Middleware,
         sim: &mut Simulator<Middleware>,
         ma: &AgentId,
-        cargo: Cargo,
+        mut cargo: Cargo,
     ) -> Option<AppId> {
         let mode = cargo.plan.mode;
         let app_id = cargo.plan.app();
@@ -1319,12 +1316,22 @@ impl Middleware {
         };
         telemetry::checkin(world, now, &cargo, flight.as_ref());
 
+        // A replica bills the cargo as it travelled, so its size is read
+        // before the snapshot leaves it.
+        let clone_bytes = match mode {
+            MobilityMode::FollowMe => 0,
+            MobilityMode::CloneDispatch => cargo.wire_len(),
+        };
         // The data path resolves a delta and the elided components;
-        // without it the cargo deploys as shipped. The destination
-        // inventory is what was preinstalled there plus the cargo
-        // (shipped bytes and cache-elided components alike).
-        let (mut snapshot, elided) = datapath::checkin(world, now, &cargo)
-            .unwrap_or_else(|| (cargo.snapshot.clone(), Vec::new()));
+        // otherwise the cargo's own snapshot deploys, taken out of it with
+        // its header left behind. The destination inventory is what was
+        // preinstalled there plus the cargo (shipped bytes and cache-elided
+        // components alike).
+        let (resolved, elided) = datapath::checkin(world, now, &cargo);
+        let mut snapshot = resolved.unwrap_or_else(|| {
+            let header = cargo.snapshot.header();
+            std::mem::replace(&mut cargo.snapshot, header)
+        });
         let mut inventory = world.preinstalled_components(dest, &snapshot.app_name);
         inventory.merge(cargo.components.clone());
         for component in elided {
@@ -1412,13 +1419,12 @@ impl Middleware {
                 if let Ok(src) = world.app_mut(app_id) {
                     src.coordinator.add_sync_link(replica_id);
                 }
-                let shipped = cargo.wire_len();
-                let resume_cost = cpu.scale(world.cost_model.resume_cost(shipped, 0));
+                let resume_cost = cpu.scale(world.cost_model.resume_cost(clone_bytes, 0));
                 let (remote, adaptation) = (cargo.remote_bytes, AdaptationReport::default());
                 let install = Installed::Replica(replica_id);
                 (
                     replica_id,
-                    shipped,
+                    clone_bytes,
                     remote,
                     resume_cost,
                     adaptation,

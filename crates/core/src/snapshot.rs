@@ -406,6 +406,80 @@ mod tests {
         assert_eq!(snap, header);
     }
 
+    /// Whether two coordinators hold `key`'s value in one shared string.
+    fn shares(a: &Coordinator, b: &Coordinator, key: &str) -> bool {
+        std::sync::Arc::ptr_eq(&a.state_map()[key], &b.state_map()[key])
+    }
+
+    #[test]
+    fn capture_shares_values_with_the_live_app() {
+        let mut mgr = SnapshotManager::new(4);
+        let source = app();
+        let snap = mgr.capture(&source);
+        let retained = mgr.latest("player").unwrap();
+        for key in ["track", "position-ms"] {
+            assert!(shares(&snap.coordinator, &source.coordinator, key));
+            assert!(shares(&retained.coordinator, &source.coordinator, key));
+        }
+    }
+
+    #[test]
+    fn writes_after_a_capture_leave_it_and_its_encoding_alone() {
+        let mut mgr = SnapshotManager::new(4);
+        let mut a = app();
+        let before = mgr.capture(&a);
+        let bytes = to_bytes(&before);
+        // Store the retained snapshot's encoding before the writes.
+        let stored = mgr.entry("player", before.sequence).unwrap().encoding();
+        let stored = stored.normalized.clone();
+
+        // A same-length write, a longer one and a remote one.
+        a.coordinator.set_state("track", "toccata.mp3");
+        a.coordinator.set_state("position-ms", "1840000");
+        let next_version = a.coordinator.version() + 1;
+        assert!(a.coordinator.apply_remote("volume", "11", next_version));
+
+        let retained = mgr.by_sequence("player", before.sequence).unwrap();
+        assert_eq!(retained, &before);
+        assert_eq!(retained.coordinator.state("track"), Some("prelude.mp3"));
+        assert_eq!(to_bytes(retained), bytes);
+        let entry = mgr.entry("player", before.sequence).unwrap();
+        assert_eq!(entry.encoding().normalized, stored);
+        assert_eq!(Encoding::of(&before).normalized, stored);
+
+        // A delta from the earlier capture to a later one still resolves.
+        let after = mgr.capture(&a);
+        let d = delta(&mgr, &before, &after);
+        assert_eq!(mgr.resolve(&d), Some(after.clone()));
+        assert_eq!(d.apply(&before).unwrap(), after);
+
+        // Rolling back restores the captured values.
+        SnapshotManager::restore(mgr.by_sequence("player", before.sequence).unwrap(), &mut a)
+            .unwrap();
+        assert_eq!(a.coordinator.state("track"), Some("prelude.mp3"));
+        assert_eq!(a.coordinator.state("position-ms"), Some("92000"));
+        assert_eq!(a.coordinator.state("volume"), None);
+    }
+
+    #[test]
+    fn a_replica_and_its_source_diverge_independently() {
+        let mut mgr = SnapshotManager::new(4);
+        let mut source = app();
+        let mut snap = mgr.capture(&source);
+        let mut replica = Application::new(AppId(1), "player", HostId(1));
+        SnapshotManager::restore_by_move(&mut snap, &mut replica).unwrap();
+        assert!(shares(&replica.coordinator, &source.coordinator, "track"));
+
+        source.coordinator.set_state("track", "toccata.mp3");
+        assert_eq!(replica.coordinator.state("track"), Some("prelude.mp3"));
+        replica.coordinator.set_state("position-ms", "10000");
+        assert_eq!(source.coordinator.state("position-ms"), Some("92000"));
+        assert_eq!(replica.coordinator.state("position-ms"), Some("10000"));
+        let retained = mgr.latest("player").unwrap();
+        assert_eq!(retained.coordinator.state("track"), Some("prelude.mp3"));
+        assert_eq!(retained.coordinator.state("position-ms"), Some("92000"));
+    }
+
     #[test]
     fn history_is_bounded_and_ordered() {
         let mut mgr = SnapshotManager::new(2);

@@ -213,6 +213,25 @@ impl Wire for String {
     }
 }
 
+/// A shared string: exactly the bytes of a `String` with the same text, so
+/// either type decodes the other's encoding. Cloning shares the text.
+impl Wire for Arc<str> {
+    fn encode(&self, buf: &mut BytesMut) {
+        put_varint(buf, self.len() as u64);
+        buf.put_slice(self.as_bytes());
+    }
+    fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
+        let len = reader.take_len()?;
+        let bytes = reader.take(len)?;
+        std::str::from_utf8(bytes)
+            .map(Arc::from)
+            .map_err(|_| WireError::InvalidUtf8)
+    }
+    fn encoded_len(&self) -> usize {
+        varint_len(self.len() as u64) + self.len()
+    }
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut BytesMut) {
         put_varint(buf, self.len() as u64);
@@ -534,6 +553,8 @@ mod tests {
     fn container_roundtrips() {
         roundtrip(String::from("hello pervasive world"));
         roundtrip(String::new());
+        roundtrip(Arc::<str>::from("shared ∞ text"));
+        roundtrip(Arc::<str>::from(""));
         roundtrip(vec![1u32, 2, 3]);
         roundtrip(Vec::<u32>::new());
         roundtrip(Some(7u8));
