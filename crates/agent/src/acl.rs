@@ -153,11 +153,6 @@ impl AclMessage {
             .with_ontology(self.ontology.clone())
             .with_conversation(self.conversation_id)
     }
-
-    /// On-the-wire size of this message (drives transfer cost).
-    pub fn wire_len(&self) -> usize {
-        self.encoded_len()
-    }
 }
 
 impl_wire_struct!(AclMessage {
@@ -186,7 +181,7 @@ mod tests {
             .with_conversation(42)
             .with_payload(&("location".to_string(), 7u32));
         let bytes = to_bytes(&msg);
-        assert_eq!(bytes.len(), msg.wire_len());
+        assert_eq!(bytes.len(), msg.encoded_len());
         let back: AclMessage = from_bytes(&bytes).unwrap();
         assert_eq!(back, msg);
         let (what, n): (String, u32) = back.payload().unwrap();

@@ -10,6 +10,7 @@ use mdagent_simnet::{
     SimDuration, Simulator, Symbol, Telemetry, Topology, Trace, TraceCategory, TraceEvent,
     TransferFault, DEFAULT_CHUNK_BYTES,
 };
+use mdagent_wire::Wire;
 
 use crate::acl::AclMessage;
 use crate::agent::{Agent, Cx, Journey, LifecycleState};
@@ -57,19 +58,14 @@ impl PlatformEnv {
 
     /// Fault verdict for a transfer starting now, or `None` when the
     /// injector is disabled (in which case no RNG state advances).
-    fn assess_fault(
-        &mut self,
-        from: HostId,
-        to: HostId,
-        now: mdagent_simnet::SimTime,
-    ) -> Option<TransferFault> {
+    fn assess_fault(&mut self, from: HostId, to: HostId) -> Option<TransferFault> {
         if !self.faults.enabled() {
             return None;
         }
         let PlatformEnv {
             faults, topology, ..
         } = self;
-        faults.assess(topology, from, to, now)
+        faults.assess(topology, from, to)
     }
 }
 
@@ -463,7 +459,7 @@ impl<W: PlatformHost> Platform<W> {
             match (src, dst) {
                 (Some(a), Some(b)) if a == b => LOCAL_DELIVERY,
                 (Some(a), Some(b)) => {
-                    let bytes = msg.wire_len() as u64;
+                    let bytes = msg.encoded_len() as u64;
                     match world.env().topology.transfer_time(a, b, bytes) {
                         Ok(t) => t + REMOTE_OVERHEAD,
                         Err(_) => {
@@ -480,7 +476,7 @@ impl<W: PlatformHost> Platform<W> {
         let env = world.env_mut();
         env.metrics.incr_static("acl.sent");
         env.metrics
-            .incr_by_static("acl.bytes_sent", msg.wire_len() as u64);
+            .incr_by_static("acl.bytes_sent", msg.encoded_len() as u64);
         env.metrics.observe_hist_static("acl.delivery_delay", delay);
         // In-order delivery per channel: a message never overtakes an
         // earlier one between the same endpoints (TCP semantics, as in
@@ -745,7 +741,7 @@ impl<W: PlatformHost> Platform<W> {
         let total = MIGRATION_SETUP + transfer.elapsed;
 
         let now = sim.now();
-        let fault = world.env_mut().assess_fault(src_host, dst_host, now);
+        let fault = world.env_mut().assess_fault(src_host, dst_host);
         if let Some(TransferFault::LinkDown(link)) = fault {
             // The route is down right now: refuse to start the transfer so
             // the agent stays active at the source and callers can retry.

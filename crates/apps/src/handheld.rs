@@ -199,7 +199,8 @@ mod tests {
             "buy milk\nreview paper"
         );
         // Slim: total component bytes well under the PC editor.
-        assert!(world.app(ed.app).unwrap().components.total_bytes() < 200_000);
+        let components = &world.app(ed.app).unwrap().components;
+        assert!(components.iter().map(Component::size).sum::<u64>() < 200_000);
     }
 
     #[test]

@@ -82,35 +82,6 @@ impl Messenger {
         Ok(unread)
     }
 
-    /// Marks everything read.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unknown-app errors.
-    pub fn mark_read(
-        world: &mut Middleware,
-        sim: &mut Simulator<Middleware>,
-        messenger: Messenger,
-    ) -> Result<(), CoreError> {
-        Middleware::update_app_state(world, sim, messenger.app, "unread", "0")?;
-        Ok(())
-    }
-
-    /// Sets the presence string.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unknown-app errors.
-    pub fn set_presence(
-        world: &mut Middleware,
-        sim: &mut Simulator<Middleware>,
-        messenger: Messenger,
-        presence: &str,
-    ) -> Result<(), CoreError> {
-        Middleware::update_app_state(world, sim, messenger.app, "presence", presence)?;
-        Ok(())
-    }
-
     /// Unread message count.
     ///
     /// # Errors
@@ -164,13 +135,6 @@ mod tests {
         assert_eq!(
             Messenger::last_message(&world, im).unwrap().as_deref(),
             Some("bob: ping")
-        );
-        Messenger::mark_read(&mut world, &mut sim, im).unwrap();
-        assert_eq!(Messenger::unread(&world, im).unwrap(), 0);
-        Messenger::set_presence(&mut world, &mut sim, im, "away").unwrap();
-        assert_eq!(
-            world.app(im.app).unwrap().coordinator.state("presence"),
-            Some("away")
         );
     }
 }

@@ -65,6 +65,7 @@ impl Figure {
     }
 
     /// The values of one series across all rows.
+    #[cfg(test)]
     pub fn series_values(&self, name: &str) -> Option<Vec<f64>> {
         let idx = self.series.iter().position(|s| s == name)?;
         Some(self.rows.iter().map(|r| r.values[idx]).collect())

@@ -8,7 +8,7 @@ use crate::fusion::LocationFusion;
 use crate::monitor::{ConditionId, ContextMonitor};
 use crate::predict::LocationPredictor;
 use crate::sensor::SensorField;
-use crate::types::{ContextData, ContextEvent, UserId};
+use crate::types::{ContextData, ContextEvent};
 
 /// Everything a published event triggered: the subscribers to notify and
 /// the monitor conditions that fired.
@@ -96,7 +96,8 @@ impl ContextKernel {
     }
 
     /// Latest fused location of a user.
-    pub fn location_of(&self, user: UserId) -> Option<mdagent_simnet::SpaceId> {
+    #[cfg(test)]
+    pub fn location_of(&self, user: crate::types::UserId) -> Option<mdagent_simnet::SpaceId> {
         self.fusion.location_of(user)
     }
 }
@@ -106,7 +107,7 @@ mod tests {
     use super::*;
     use crate::monitor::Condition;
     use crate::sensor::BadgePosition;
-    use crate::types::{topics, BadgeId, TemporalClass};
+    use crate::types::{topics, BadgeId, TemporalClass, UserId};
     use mdagent_simnet::SpaceId;
 
     fn kernel() -> ContextKernel {

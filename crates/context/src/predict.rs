@@ -78,11 +78,6 @@ impl LocationPredictor {
             .unwrap_or(0);
         hits as f64 / total as f64
     }
-
-    /// The last observed space of a user.
-    pub fn last_seen(&self, user: UserId) -> Option<SpaceId> {
-        self.last.get(&user).copied()
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +106,6 @@ mod tests {
             p.transition_probability(UserId(0), SpaceId(0), SpaceId(1)),
             0.0
         );
-        assert_eq!(p.last_seen(UserId(0)), None);
     }
 
     #[test]
@@ -122,7 +116,6 @@ mod tests {
         p.observe(u, SpaceId(0));
         p.observe(u, SpaceId(0));
         assert_eq!(p.predict_next(u, SpaceId(0)), None);
-        assert_eq!(p.last_seen(u), Some(SpaceId(0)));
     }
 
     #[test]

@@ -67,6 +67,7 @@ impl SensorField {
     }
 
     /// Overrides the beacon hearing range.
+    #[cfg(test)]
     pub fn set_range(&mut self, range_m: f64) {
         self.range_m = range_m.max(0.1);
     }
@@ -88,13 +89,6 @@ impl SensorField {
             Some(entry) => entry.1 = position,
             None => self.badges.push((badge, position)),
         }
-    }
-
-    /// Removes a badge from the field (user left the building).
-    pub fn remove_badge(&mut self, badge: BadgeId) -> bool {
-        let before = self.badges.len();
-        self.badges.retain(|(b, _)| *b != badge);
-        self.badges.len() != before
     }
 
     /// Ground truth for a badge, if placed.
@@ -236,22 +230,6 @@ mod tests {
                 position_m: 5.0,
             },
         );
-        let mut rng = SimRng::seed_from(3);
-        assert!(f.sample(SimTime::ZERO, &mut rng).is_empty());
-    }
-
-    #[test]
-    fn remove_badge() {
-        let mut f = field();
-        f.place_badge(
-            BadgeId(1),
-            BadgePosition {
-                space: SpaceId(0),
-                position_m: 0.0,
-            },
-        );
-        assert!(f.remove_badge(BadgeId(1)));
-        assert!(!f.remove_badge(BadgeId(1)));
         let mut rng = SimRng::seed_from(3);
         assert!(f.sample(SimTime::ZERO, &mut rng).is_empty());
     }

@@ -7,7 +7,7 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use mdagent_wire::{digest_of, impl_wire_enum, impl_wire_struct, Blob, Digest, Wire};
+use mdagent_wire::{digest_of, impl_wire_enum, impl_wire_struct, Blob, Digest};
 
 /// The kind of an application component (Fig. 3's upper level).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -182,6 +182,7 @@ impl ComponentSet {
     }
 
     /// Total payload bytes across all components.
+    #[cfg(test)]
     pub fn total_bytes(&self) -> u64 {
         self.components.iter().map(Component::size).sum()
     }
@@ -210,11 +211,6 @@ impl ComponentSet {
             self.insert(c);
         }
     }
-
-    /// Exact wire size of the whole set.
-    pub fn wire_len(&self) -> u64 {
-        self.encoded_len() as u64
-    }
 }
 
 impl FromIterator<Component> for ComponentSet {
@@ -230,7 +226,7 @@ impl FromIterator<Component> for ComponentSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdagent_wire::{digest_of, from_bytes, to_bytes};
+    use mdagent_wire::{digest_of, from_bytes, to_bytes, Wire};
 
     fn set() -> ComponentSet {
         [
@@ -290,12 +286,12 @@ mod tests {
     fn wire_roundtrip_and_size() {
         let s = set();
         let bytes = to_bytes(&s);
-        assert_eq!(bytes.len() as u64, s.wire_len());
+        assert_eq!(bytes.len(), s.encoded_len());
         let back: ComponentSet = from_bytes(&bytes).unwrap();
         assert_eq!(back, s);
         // Wire size is dominated by payload bytes.
-        assert!(s.wire_len() >= s.total_bytes());
-        assert!(s.wire_len() < s.total_bytes() + 1024);
+        assert!(s.encoded_len() as u64 >= s.total_bytes());
+        assert!((s.encoded_len() as u64) < s.total_bytes() + 1024);
     }
 
     #[test]

@@ -100,6 +100,7 @@ impl ComponentCache {
     }
 
     /// Total cached bytes.
+    #[cfg(test)]
     pub fn bytes_used(&self) -> u64 {
         self.used
     }

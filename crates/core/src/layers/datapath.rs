@@ -106,8 +106,8 @@ pub(crate) fn wrap(world: &mut Middleware, cargo: &mut Cargo) -> Savings {
         .and_then(|base| snapshots.delta(&snapshot.app_name, *base, snapshot.sequence))
     {
         let header = snapshot.header();
-        let delta_len = delta.wire_len() + header.wire_len();
-        let full_len = snapshot.wire_len();
+        let delta_len = (delta.encoded_len() + header.encoded_len()) as u64;
+        let full_len = snapshot.encoded_len() as u64;
         if delta_len < full_len {
             saved.delta = full_len - delta_len;
             cargo.snapshot_delta = Some(delta);
@@ -263,7 +263,7 @@ impl Middleware {
             .cloned();
         match full {
             Some(snapshot) => {
-                let bytes = snapshot.wire_len();
+                let bytes = snapshot.encoded_len() as u64;
                 world.env.metrics.incr_static("migration.delta_resends");
                 world
                     .env

@@ -9,6 +9,7 @@
 
 use mdagent_agent::AgentId;
 use mdagent_simnet::{CpuFactor, HostId, SimDuration, SimTime, SpanId};
+use mdagent_wire::Wire;
 
 use crate::app::AppId;
 use crate::messages::{Cargo, TraceContext};
@@ -65,7 +66,9 @@ pub(crate) fn depart(
 
 /// Hand-over: records the wrap span, opens the detached migrate span, and
 /// stamps the trace context onto the wire so the destination parents its
-/// check-in spans to the in-transit span of *this* trace.
+/// check-in spans to the in-transit span of *this* trace. A stamp grows
+/// the cargo, so the flight's shipped bytes are re-read from it: both
+/// mobility modes report the bytes the platform bills.
 pub(crate) fn hand_over(world: &mut Middleware, now: SimTime, ma: &AgentId, cargo: &mut Cargo) {
     let Some(flight) = world.in_flight.get_mut(ma) else {
         return;
@@ -83,6 +86,7 @@ pub(crate) fn hand_over(world: &mut Middleware, now: SimTime, ma: &AgentId, carg
             trace_id: u64::from(root.raw()),
             parent_span: u64::from(migrate_span.raw()),
         });
+        flight.shipped_bytes = cargo.encoded_len() as u64;
     }
 }
 

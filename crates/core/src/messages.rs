@@ -190,13 +190,6 @@ impl Wire for Cargo {
     }
 }
 
-impl Cargo {
-    /// Exact wire size.
-    pub fn wire_len(&self) -> u64 {
-        self.encoded_len() as u64
-    }
-}
-
 /// A replica state synchronization message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SyncUpdate {
@@ -297,9 +290,9 @@ mod tests {
             trace_ctx: None,
         };
         let bytes = to_bytes(&cargo);
-        assert_eq!(bytes.len() as u64, cargo.wire_len());
-        assert!(cargo.wire_len() > 180_000, "payload dominates");
-        assert!(cargo.wire_len() < 181_000, "overhead is small");
+        assert_eq!(bytes.len(), cargo.encoded_len());
+        assert!(cargo.encoded_len() > 180_000, "payload dominates");
+        assert!(cargo.encoded_len() < 181_000, "overhead is small");
         let back: Cargo = from_bytes(&bytes).unwrap();
         assert_eq!(back, cargo);
     }

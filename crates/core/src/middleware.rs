@@ -14,6 +14,7 @@ use mdagent_simnet::{
     SimTime, Simulator, SloMonitor, SpaceId, SpanId, Telemetry, Topology, TraceCategory,
     TraceEvent,
 };
+use mdagent_wire::Wire;
 
 use crate::adaptor::{adapt, AdaptationReport};
 use crate::app::{AppId, AppState, Application};
@@ -395,11 +396,6 @@ impl Middleware {
         self.apps
             .get_mut(id.0 as usize)
             .ok_or(CoreError::UnknownApp(id))
-    }
-
-    /// Number of deployed applications (including replicas).
-    pub fn app_count(&self) -> usize {
-        self.apps.len()
     }
 
     /// All applications.
@@ -1085,7 +1081,7 @@ impl Middleware {
         if staged.is_empty() {
             return Ok(SimDuration::ZERO);
         }
-        let bytes = staged.wire_len();
+        let bytes = staged.encoded_len() as u64;
         let cost = world
             .env
             .topology
@@ -1223,7 +1219,10 @@ impl Middleware {
         // The data path elides cached components and swaps the snapshot
         // for a delta.
         let saved = datapath::wrap(world, &mut cargo);
-        let wrapped_bytes = cargo.wire_len();
+        // Priced on the cargo before hand-over stamps its trace context:
+        // the suspension ends before the stamp exists. Hand-over refreshes
+        // the flight's shipped bytes from the stamped cargo.
+        let wrapped_bytes = cargo.encoded_len() as u64;
         let cpu = world.env.topology.host(src_host)?.cpu();
         let suspend_cost = cpu.scale(world.cost_model.suspend_cost(wrapped_bytes));
         world
@@ -1316,12 +1315,13 @@ impl Middleware {
         };
         telemetry::checkin(world, now, &cargo, flight.as_ref());
 
-        // A replica bills the cargo as it travelled, so its size is read
-        // before the snapshot leaves it.
-        let clone_bytes = match mode {
-            MobilityMode::FollowMe => 0,
-            MobilityMode::CloneDispatch => cargo.wire_len(),
-        };
+        // Both modes bill the flight record's bytes, which hand-over
+        // refreshed from the cargo the platform shipped. An orphan replica
+        // has no record: it reads the cargo as it travelled, before the
+        // snapshot leaves it.
+        let shipped = flight
+            .as_ref()
+            .map_or_else(|| cargo.encoded_len() as u64, |f| f.shipped_bytes);
         // The data path resolves a delta and the elided components;
         // otherwise the cargo's own snapshot deploys, taken out of it with
         // its header left behind. The destination inventory is what was
@@ -1386,9 +1386,7 @@ impl Middleware {
                 } else {
                     world.cost_model.adapt
                 };
-                let (shipped, remote) = flight
-                    .as_ref()
-                    .map_or((0, 0), |f| (f.shipped_bytes, f.remote_bytes));
+                let remote = flight.as_ref().map_or(0, |f| f.remote_bytes);
                 let resume_cost = cpu.scale(
                     world.cost_model.resume_cost(shipped, remote) + rebind_cost + adapt_cost,
                 );
@@ -1419,12 +1417,12 @@ impl Middleware {
                 if let Ok(src) = world.app_mut(app_id) {
                     src.coordinator.add_sync_link(replica_id);
                 }
-                let resume_cost = cpu.scale(world.cost_model.resume_cost(clone_bytes, 0));
+                let resume_cost = cpu.scale(world.cost_model.resume_cost(shipped, 0));
                 let (remote, adaptation) = (cargo.remote_bytes, AdaptationReport::default());
                 let install = Installed::Replica(replica_id);
                 (
                     replica_id,
-                    clone_bytes,
+                    shipped,
                     remote,
                     resume_cost,
                     adaptation,

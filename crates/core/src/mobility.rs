@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-use mdagent_simnet::{HostId, Topology};
-use mdagent_wire::{impl_wire_enum, impl_wire_struct, Wire};
+use mdagent_simnet::HostId;
+use mdagent_wire::{impl_wire_enum, impl_wire_struct};
 
 use crate::app::AppId;
 
@@ -53,25 +53,6 @@ impl_wire_enum!(MobilityDomain {
     IntraSpace = 0,
     InterSpace = 1,
 });
-
-impl MobilityDomain {
-    /// Classifies a migration between two hosts.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unknown-host errors from the topology.
-    pub fn classify(
-        topology: &Topology,
-        from: HostId,
-        to: HostId,
-    ) -> Result<MobilityDomain, mdagent_simnet::TopologyError> {
-        Ok(if topology.requires_gateway(from, to)? {
-            MobilityDomain::InterSpace
-        } else {
-            MobilityDomain::IntraSpace
-        })
-    }
-}
 
 impl fmt::Display for MobilityDomain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -173,39 +154,11 @@ impl MigrationPlan {
             MobilityDomain::IntraSpace
         }
     }
-
-    /// Exact wire size (the plan itself rides in ACL messages).
-    pub fn wire_len(&self) -> usize {
-        self.encoded_len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdagent_simnet::{CpuFactor, SimDuration};
-
-    #[test]
-    fn domain_classification() {
-        let mut topo = Topology::new();
-        let s0 = topo.add_space("a");
-        let s1 = topo.add_space("b");
-        let h0 = topo.add_host("h0", s0, CpuFactor::REFERENCE);
-        let h1 = topo.add_host("h1", s0, CpuFactor::REFERENCE);
-        let h2 = topo.add_host("h2", s1, CpuFactor::REFERENCE);
-        topo.add_lan_link(h0, h1, SimDuration::ZERO, 1, 1.0)
-            .unwrap();
-        topo.add_gateway_link(h1, h2, SimDuration::ZERO, 1, 1.0)
-            .unwrap();
-        assert_eq!(
-            MobilityDomain::classify(&topo, h0, h1).unwrap(),
-            MobilityDomain::IntraSpace
-        );
-        assert_eq!(
-            MobilityDomain::classify(&topo, h0, h2).unwrap(),
-            MobilityDomain::InterSpace
-        );
-    }
 
     #[test]
     fn plan_wire_roundtrip_all_quadrants() {

@@ -142,11 +142,6 @@ impl DeviceProfile {
         HostId(self.host_raw)
     }
 
-    /// Screen area in pixels.
-    pub fn screen_area(&self) -> u64 {
-        u64::from(self.screen_width) * u64::from(self.screen_height)
-    }
-
     /// Checks a `key=value` requirement (numeric keys compare `>=`).
     pub fn satisfies(&self, key: &str, value: &str) -> bool {
         match key {
@@ -206,7 +201,8 @@ mod tests {
     fn device_profiles_differ_sensibly() {
         let pc = DeviceProfile::pc(HostId(0));
         let pda = DeviceProfile::handheld(HostId(1));
-        assert!(pc.screen_area() > pda.screen_area());
+        let area = |p: &DeviceProfile| u64::from(p.screen_width) * u64::from(p.screen_height);
+        assert!(area(&pc) > area(&pda));
         assert_eq!(pda.host(), HostId(1));
         let back: DeviceProfile = from_bytes(&to_bytes(&pda)).unwrap();
         assert_eq!(back, pda);

@@ -32,11 +32,6 @@ impl_wire_struct!(Snapshot {
 });
 
 impl Snapshot {
-    /// Exact wire size of the snapshot.
-    pub fn wire_len(&self) -> u64 {
-        self.encoded_len() as u64
-    }
-
     /// A header-only stub: same name and sequence, no state or profile.
     /// Shipped in place of the full snapshot when a [`SnapshotDelta`]
     /// carries the state, so the cargo's fixed fields stay intact.
@@ -210,11 +205,6 @@ impl SnapshotDelta {
         let mut snapshot: Snapshot = mdagent_wire::from_bytes(&bytes)?;
         snapshot.sequence = self.sequence;
         Ok(snapshot)
-    }
-
-    /// Exact wire size of the delta.
-    pub fn wire_len(&self) -> u64 {
-        self.encoded_len() as u64
     }
 }
 
@@ -511,7 +501,7 @@ mod tests {
         let mut mgr = SnapshotManager::new(4);
         let snap = mgr.capture(&app());
         let bytes = to_bytes(&snap);
-        assert_eq!(bytes.len() as u64, snap.wire_len());
+        assert_eq!(bytes.len(), snap.encoded_len());
         let back: Snapshot = mdagent_wire::from_bytes(&bytes).unwrap();
         assert_eq!(back, snap);
     }
@@ -547,10 +537,10 @@ mod tests {
         assert_eq!(rebuilt, next, "delta apply must reproduce the snapshot");
         assert_eq!(mgr.resolve(&delta), Some(next.clone()));
         assert!(
-            delta.wire_len() < next.wire_len(),
+            delta.encoded_len() < next.encoded_len(),
             "small state change must encode smaller than the full snapshot: {} vs {}",
-            delta.wire_len(),
-            next.wire_len()
+            delta.encoded_len(),
+            next.encoded_len()
         );
     }
 
@@ -604,7 +594,7 @@ mod tests {
         let next = mgr.capture(&a);
         let delta = delta(&mgr, &base, &next);
         let bytes = to_bytes(&delta);
-        assert_eq!(bytes.len() as u64, delta.wire_len());
+        assert_eq!(bytes.len(), delta.encoded_len());
         let back: SnapshotDelta = mdagent_wire::from_bytes(&bytes).unwrap();
         assert_eq!(back, delta);
         assert_eq!(back.apply(&base).unwrap(), next);
@@ -627,7 +617,7 @@ mod tests {
         assert_eq!(header.app_name, snap.app_name);
         assert_eq!(header.sequence, snap.sequence);
         assert!(header.profile_bytes.is_empty());
-        assert!(header.wire_len() < snap.wire_len());
+        assert!(header.encoded_len() < snap.encoded_len());
     }
 
     #[test]

@@ -291,7 +291,7 @@ fn clone_dispatch_installs_synchronized_replica() {
     assert_eq!(s.world.app(app).unwrap().state, AppState::Running);
     assert_eq!(s.world.app(app).unwrap().host, s.office_pc);
     // A replica exists at the lab with logic+UI preinstalled and slides shipped.
-    assert_eq!(s.world.app_count(), 2, "one replica created");
+    assert_eq!(s.world.apps().count(), 2, "one replica created");
     let replica = s
         .world
         .apps()

@@ -5,10 +5,12 @@
 use mdagent_context::{BadgeId, UserId};
 use mdagent_core::{
     AutonomousAgent, BindingPolicy, Component, ComponentKind, ComponentSet, DeviceProfile,
-    FaultOptions, Middleware, ObservabilityOptions, SamplerOptions, SloOptions, UserProfile,
-    SLO_MIGRATION_COMPLETION, SLO_MIGRATION_LATENCY, SLO_REGISTRY_LOOKUP,
+    FaultOptions, Middleware, MobilityMode, ObservabilityOptions, SamplerOptions, SloOptions,
+    TraceContext, UserProfile, SLO_MIGRATION_COMPLETION, SLO_MIGRATION_LATENCY,
+    SLO_REGISTRY_LOOKUP,
 };
-use mdagent_simnet::{AttrValue, CpuFactor, SimDuration, SimTime, Simulator};
+use mdagent_simnet::{AttrValue, CpuFactor, HostId, SimDuration, SimTime, Simulator};
+use mdagent_wire::Wire;
 
 fn components() -> ComponentSet {
     [
@@ -86,7 +88,7 @@ fn propagated_context_links_one_trace_across_hosts() {
     assert_eq!(world.migration_log().len(), 1, "migration completed");
 
     let tel = world.telemetry();
-    assert!(tel.is_sampled());
+    assert!(tel.sampler_options().is_some());
     let stats = tel.sampler_stats().unwrap();
     assert_eq!(stats.unaccounted(), 0, "every span accounted for");
     assert!(stats.traces_kept >= 1);
@@ -177,7 +179,7 @@ fn defaults_off_leaves_passthrough_collector_and_bare_wire() {
     assert_eq!(world.migration_log().len(), 1);
 
     let tel = world.telemetry();
-    assert!(!tel.is_sampled());
+    assert!(tel.sampler_options().is_none());
     assert!(tel.sampler_stats().is_none());
     assert!(world.slo_monitor().is_none());
     // No ctx rode the wire, so no destination-side ctx spans exist and
@@ -228,4 +230,64 @@ fn latency_slo_counts_slow_migrations_as_bad() {
     let monitor = world.slo_monitor().unwrap();
     assert!(monitor.get(SLO_MIGRATION_LATENCY).unwrap().bad_total() >= 1);
     assert!(monitor.get(SLO_MIGRATION_COMPLETION).unwrap().good_total() >= 1);
+}
+
+/// One `migrate_now` in `mode` from the office PC to the lab PC, with
+/// trace-context propagation on or off. Returns the report's shipped
+/// bytes and, with propagation on, the context stamped onto the cargo (as
+/// the destination's check-in span decoded it).
+fn shipped_bytes(mode: MobilityMode, propagate: bool) -> (u64, Option<TraceContext>) {
+    let obs = ObservabilityOptions {
+        propagate_trace_ctx: propagate,
+        ..ObservabilityOptions::default()
+    };
+    let (mut world, mut sim) = observed_world(obs, None);
+    let app = Middleware::deploy_app(
+        &mut world,
+        &mut sim,
+        "player",
+        HostId(0),
+        components(),
+        UserProfile::new(UserId(0)),
+    )
+    .unwrap();
+    Middleware::migrate_now(
+        &mut world,
+        &mut sim,
+        app,
+        HostId(1),
+        mode,
+        BindingPolicy::Adaptive,
+    )
+    .unwrap();
+    sim.run_until(&mut world, SimTime::from_secs(60));
+    let log = world.migration_log();
+    assert_eq!(log.len(), 1, "{mode:?} completed");
+    let stamp = world
+        .telemetry()
+        .spans_named("migration.checkin")
+        .next()
+        .map(|checkin| TraceContext {
+            trace_id: match checkin.attr("trace_id") {
+                Some(AttrValue::U64(id)) => *id,
+                other => panic!("trace_id attr: {other:?}"),
+            },
+            parent_span: u64::from(checkin.parent.expect("parented").raw()),
+        });
+    (log[0].shipped_bytes, stamp)
+}
+
+#[test]
+fn both_modes_report_the_stamped_bytes_the_platform_bills() {
+    for mode in [MobilityMode::FollowMe, MobilityMode::CloneDispatch] {
+        let (bare, no_stamp) = shipped_bytes(mode, false);
+        let (stamped, stamp) = shipped_bytes(mode, true);
+        assert!(no_stamp.is_none());
+        let stamp = stamp.expect("propagation stamps the cargo");
+        assert_eq!(
+            stamped - bare,
+            stamp.encoded_len() as u64,
+            "{mode:?}: the report carries the stamp's bytes"
+        );
+    }
 }

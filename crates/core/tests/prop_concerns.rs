@@ -93,7 +93,7 @@ proptest! {
         let plain = run_sweep_world(ObservabilityOptions::default(), mode, policy, data_kb);
         let observed = run_sweep_world(observed, mode, policy, data_kb);
         prop_assert_eq!(plain.migration_log(), observed.migration_log());
-        prop_assert_eq!(plain.app_count(), observed.app_count());
+        prop_assert_eq!(plain.apps().count(), observed.apps().count());
         let placed = |w: &Middleware| -> Vec<_> {
             w.apps().map(|a| (a.name.clone(), a.host, a.state)).collect()
         };

@@ -87,7 +87,7 @@ proptest! {
             prop_assert!(report.shipped_bytes > 0);
         }
         // The app count never changes under follow-me.
-        prop_assert_eq!(world.app_count(), 1);
+        prop_assert_eq!(world.apps().count(), 1);
     }
 
     /// Under static binding, the data always arrives; under adaptive

@@ -79,7 +79,11 @@ fn run_mode(seed: u64, drop_probability: f64, mode: MobilityMode) -> (Middleware
 
 /// The exactly-once-or-rollback invariant bundle.
 fn assert_invariants(world: &Middleware, src: HostId, dest: HostId) {
-    assert_eq!(world.app_count(), 1, "no lost or duplicated applications");
+    assert_eq!(
+        world.apps().count(),
+        1,
+        "no lost or duplicated applications"
+    );
     let app = world.apps().next().unwrap();
     assert_eq!(app.state, AppState::Running, "app must end up running");
     let completed = world.metrics().counter("migration.completed");
@@ -108,7 +112,7 @@ fn assert_clone_invariants(world: &Middleware, src: HostId, dest: HostId) -> u64
         "exactly one outcome: completed={completed} aborts={aborts}"
     );
     assert_eq!(
-        world.app_count() as u64,
+        world.apps().count() as u64,
         1 + completed,
         "one replica per installed clone, none for an aborted one"
     );

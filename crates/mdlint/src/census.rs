@@ -16,12 +16,14 @@
 //!
 //! Matching is by name alone: a dead item that shares its name with a live
 //! one is never listed, and a live item never is. The compiler judges each
-//! deletion. `LINT_report.json` pins the list (see DESIGN.md §11).
+//! deletion. Each listed item is an R11 finding, which only an `item` entry
+//! of `lint-allow.toml` keeps (see DESIGN.md §11).
 
 use std::collections::BTreeSet;
 
 use crate::lexer::{lex, Tok, TokKind};
 use crate::parser::{impl_header, match_brace};
+use crate::Finding;
 
 /// One `pub` item that no non-test code names.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -74,6 +76,23 @@ pub fn unreferenced(files: &[(String, String)]) -> Vec<Unreferenced> {
     declared.retain(|d| !named.contains(&d.name));
     declared.sort();
     declared
+}
+
+/// Rule R11 over `files`: one unallowed finding per unreferenced item,
+/// whose snippet is the item's name (what an `item` entry matches).
+pub fn findings(files: &[(String, String)]) -> Vec<Finding> {
+    unreferenced(files)
+        .into_iter()
+        .map(|u| Finding {
+            rule: "R11",
+            file: u.file,
+            line: u.line,
+            snippet: u.name,
+            allowed: false,
+            reason: None,
+            call_path: Vec::new(),
+        })
+        .collect()
 }
 
 /// True for library sources of a workspace crate: `crates/*/src/`, minus

@@ -7,7 +7,7 @@
 //! robustness invariants) as a lint pass over the whole workspace — R1–R6
 //! lexically on the token stream, R7–R10 structurally on a workspace call
 //! graph and wire-schema model built by [`parser`], [`callgraph`] and
-//! [`wire_schema`]:
+//! [`wire_schema`], and R11 by name over every scanned file ([`census`]):
 //!
 //! | Rule | Invariant |
 //! |------|-----------|
@@ -21,6 +21,7 @@
 //! | R8   | no allocation reachable from `// mdlint::hot` fns |
 //! | R9   | layer impls never re-enter the `Middleware` migration lifecycle |
 //! | R10  | wire field order/width matches the committed `WIRE_schema.json` |
+//! | R11  | every `pub` item is named by non-test code, or kept by an `item` entry |
 //! | STALE| every `lint-allow.toml` entry still covers at least one finding |
 //!
 //! Run it two ways:
@@ -54,13 +55,14 @@ use std::path::{Path, PathBuf};
 /// One lint finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule id (`R1`..`R10`, or `STALE` for dead allowlist entries).
+    /// Rule id (`R1`..`R11`, or `STALE` for dead allowlist entries).
     pub rule: &'static str,
     /// Workspace-relative file path.
     pub file: String,
     /// 1-based line number.
     pub line: u32,
-    /// Trimmed source line (or a synthesized message for R5/R10/STALE).
+    /// Trimmed source line, the unreferenced item's name for R11, or a
+    /// synthesized message for R5/R10/STALE.
     pub snippet: String,
     /// True when covered by a `lint-allow.toml` entry.
     pub allowed: bool,
@@ -78,8 +80,6 @@ pub struct ScanResult {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// The census: `pub` items no non-test code names (see [`census`]).
-    pub unreferenced: Vec<census::Unreferenced>,
 }
 
 impl ScanResult {
@@ -91,7 +91,7 @@ impl ScanResult {
 
 /// Directory names never descended into. `fixtures` keeps mdlint's own
 /// deliberately-violating test inputs out of the workspace scan; the
-/// root `examples/` directory is read for the census alone.
+/// root `examples/` directory is read for R11 alone.
 const SKIP_DIRS: &[&str] = &[
     ".git", "target", "vendor", "fixtures", "examples", ".github",
 ];
@@ -167,9 +167,9 @@ fn read_sources(root: &Path, paths: &[PathBuf]) -> Result<Vec<(String, String)>,
 
 /// Scans the workspace rooted at `root`: R1–R4 lexically on every `.rs`
 /// file, R5 on the tracked enums, R7–R9 on the sim-visible call graph,
-/// R10 against the committed wire lock, then applies
-/// `<root>/lint-allow.toml` and reports stale entries. The census runs
-/// over the same files plus `examples/`.
+/// R10 against the committed wire lock, R11 over the same files plus
+/// `examples/`, then applies `<root>/lint-allow.toml` and reports stale
+/// entries.
 pub fn scan_workspace(root: &Path) -> Result<ScanResult, String> {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files)?;
@@ -206,6 +206,12 @@ pub fn scan_workspace(root: &Path) -> Result<ScanResult, String> {
     let lock_text = fs::read_to_string(root.join(wire_schema::LOCK_FILE)).ok();
     findings.extend(wire_schema::check(lock_text.as_deref(), &wire_types));
 
+    // R11: the examples name items too, but are never linted themselves.
+    let mut examples = Vec::new();
+    collect_rs_files(&root.join("examples"), &mut examples)?;
+    sources.extend(read_sources(root, &examples)?);
+    findings.extend(census::findings(&sources));
+
     let allow_path = root.join("lint-allow.toml");
     let entries = if allow_path.exists() {
         let text = fs::read_to_string(&allow_path)
@@ -220,20 +226,16 @@ pub fn scan_workspace(root: &Path) -> Result<ScanResult, String> {
 
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    let mut examples = Vec::new();
-    collect_rs_files(&root.join("examples"), &mut examples)?;
-    sources.extend(read_sources(root, &examples)?);
     Ok(ScanResult {
         findings,
         files_scanned: files.len(),
-        unreferenced: census::unreferenced(&sources),
     })
 }
 
 /// Marks findings covered by allowlist entries.
 pub fn apply_allowlist(findings: &mut [Finding], entries: &[allow::AllowEntry]) {
     for f in findings.iter_mut() {
-        if let Some(e) = entries.iter().find(|e| e.covers(f.rule, &f.file, f.line)) {
+        if let Some(e) = entries.iter().find(|e| e.covers(f)) {
             f.allowed = true;
             f.reason = Some(e.reason.clone());
         }
@@ -247,7 +249,7 @@ pub fn apply_allowlist(findings: &mut [Finding], entries: &[allow::AllowEntry]) 
 pub fn stale_entries(findings: &[Finding], entries: &[allow::AllowEntry]) -> Vec<Finding> {
     entries
         .iter()
-        .filter(|e| !findings.iter().any(|f| e.covers(f.rule, &f.file, f.line)))
+        .filter(|e| !findings.iter().any(|f| e.covers(f)))
         .map(|e| Finding {
             rule: "STALE",
             file: "lint-allow.toml".to_string(),
@@ -256,7 +258,11 @@ pub fn stale_entries(findings: &[Finding], entries: &[allow::AllowEntry]) -> Vec
                 "allow entry ({} {}{}) matches no finding — remove it",
                 e.rule,
                 e.path,
-                e.line.map(|l| format!(":{l}")).unwrap_or_default()
+                match (&e.item, e.line) {
+                    (Some(item), _) => format!(" item {item}"),
+                    (None, Some(l)) => format!(":{l}"),
+                    (None, None) => String::new(),
+                }
             ),
             allowed: false,
             reason: None,
@@ -291,7 +297,7 @@ pub fn write_wire_schema(root: &Path) -> Result<usize, String> {
 /// summary, and return the number of unallowed findings.
 pub fn run(root: &Path) -> Result<usize, String> {
     let result = scan_workspace(root)?;
-    let report = report::render_report(&result.findings, &result.unreferenced);
+    let report = report::render_report(&result.findings);
     let report_path = root.join("LINT_report.json");
     fs::write(&report_path, &report)
         .map_err(|e| format!("write {}: {e}", report_path.display()))?;
@@ -303,10 +309,12 @@ pub fn run(root: &Path) -> Result<usize, String> {
         result.findings.len() - unallowed.len(),
         unallowed.len()
     );
-    println!(
-        "mdlint: {} public items no non-test code names",
-        result.unreferenced.len()
-    );
+    let kept = result
+        .findings
+        .iter()
+        .filter(|f| f.rule == "R11" && f.allowed)
+        .count();
+    println!("mdlint: {kept} public items no non-test code names are kept by R11 entries");
     for f in &unallowed {
         println!("  [{}] {}:{} {}", f.rule, f.file, f.line, f.snippet);
         for hop in &f.call_path {

@@ -131,3 +131,87 @@ fn binaries_declare_nothing() {
     ];
     assert_eq!(listed(&set), ["library"]);
 }
+
+// ---------------------------------------------------------------------------
+// R11: the census as a gating rule
+// ---------------------------------------------------------------------------
+
+use mdlint::allow::parse_allowlist;
+use mdlint::{apply_allowlist, census, stale_entries, Finding};
+
+const R11_LIB: &str = include_str!("fixtures/r11_lib.rs");
+const R11_MAIN: &str = include_str!("fixtures/r11_main.rs");
+
+/// R11 over the fixture crate, with `lib` as its library source and the
+/// allowlist applied; returns the findings and the stale entries.
+fn r11(lib: &str, main: &str, allow: &str) -> (Vec<Finding>, Vec<Finding>) {
+    let set = files(&[(LIB, lib), ("crates/demo/src/main.rs", main)]);
+    let entries = parse_allowlist(allow).expect("allowlist parses");
+    let mut findings = census::findings(&set);
+    apply_allowlist(&mut findings, &entries);
+    let stale = stale_entries(&findings, &entries);
+    (findings, stale)
+}
+
+const KEEP_DEAD: &str = "[[allow]]\nrule = \"R11\"\npath = \"crates/demo/src/lib.rs\"\n\
+                         item = \"dead\"\nreason = \"kept for a stated reason\"\n";
+
+#[test]
+fn a_fresh_dead_pub_fn_is_an_unallowed_r11_finding() {
+    let (findings, stale) = r11(R11_LIB, R11_MAIN, "");
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    let f = &findings[0];
+    assert_eq!((f.rule, f.file.as_str(), f.line), ("R11", LIB, 7));
+    assert_eq!(f.snippet, "dead");
+    assert!(!f.allowed);
+    assert!(stale.is_empty());
+}
+
+#[test]
+fn an_item_entry_with_a_reason_keeps_the_item() {
+    let (findings, stale) = r11(R11_LIB, R11_MAIN, KEEP_DEAD);
+    assert_eq!(findings.len(), 1);
+    assert!(findings[0].allowed);
+    assert_eq!(
+        findings[0].reason.as_deref(),
+        Some("kept for a stated reason")
+    );
+    assert!(stale.is_empty());
+}
+
+#[test]
+fn lines_inserted_above_a_kept_item_keep_it_allowed() {
+    let shifted = format!("// a new header line\n\npub fn also_live() {{}}\n{R11_LIB}");
+    let main = R11_MAIN.replace("demo::live()", "{ demo::also_live(); demo::live() }");
+    let (findings, stale) = r11(&shifted, &main, KEEP_DEAD);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].line, 10, "the item moved down three lines");
+    assert!(findings[0].allowed);
+    assert!(stale.is_empty());
+}
+
+#[test]
+fn an_entry_whose_item_gained_a_caller_is_stale() {
+    let main = R11_MAIN.replace("demo::live()", "demo::live() + demo::dead()");
+    let (findings, stale) = r11(R11_LIB, &main, KEEP_DEAD);
+    assert!(findings.is_empty(), "{findings:?}");
+    assert_eq!(stale.len(), 1);
+    assert_eq!(stale[0].rule, "STALE");
+    assert!(
+        stale[0].snippet.contains("item dead"),
+        "{}",
+        stale[0].snippet
+    );
+}
+
+#[test]
+fn an_item_key_on_a_non_r11_entry_is_rejected() {
+    let text = "[[allow]]\nrule = \"R3\"\npath = \"crates/demo/src/lib.rs\"\n\
+                item = \"dead\"\nreason = \"no\"\n";
+    let err = parse_allowlist(text).unwrap_err();
+    assert!(err.contains("item"), "{err}");
+    // An R11 entry must name its item; a line does not do.
+    let pinned = "[[allow]]\nrule = \"R11\"\npath = \"crates/demo/src/lib.rs\"\n\
+                  line = 7\nreason = \"no\"\n";
+    assert!(parse_allowlist(pinned).is_err());
+}

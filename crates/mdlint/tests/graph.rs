@@ -718,8 +718,8 @@ fn vanished_wire_type_reports_at_the_lock_file() {
 #[test]
 fn report_v2_emits_call_paths_for_graph_findings() {
     let findings = scan(&[("crates/core/src/fixture.rs", R7_VIOLATION)]);
-    let json = render_report(&findings, &[]);
-    assert!(json.contains("\"schema\": \"mdlint-report-v3\""));
+    let json = render_report(&findings);
+    assert!(json.contains("\"schema\": \"mdlint-report-v4\""));
     assert!(json.contains("\"call_path\": ["));
     assert!(json.contains("crates/core/src/fixture.rs:12 step_two"));
 }
@@ -731,6 +731,6 @@ fn report_v2_omits_call_path_for_lexical_findings() {
         "fn f() { let t = std::time::Instant::now(); }\n",
     );
     assert!(!findings.is_empty());
-    let json = render_report(&findings, &[]);
+    let json = render_report(&findings);
     assert!(!json.contains("call_path"), "{json}");
 }

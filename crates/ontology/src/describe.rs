@@ -5,7 +5,6 @@
 //! to emit those triples without writing text.
 
 use crate::graph::Graph;
-use crate::term::Term;
 use crate::vocab::{owl, rdf, rdfs};
 
 /// Builder for an OWL class description.
@@ -34,24 +33,8 @@ pub struct ClassDescription {
     id: String,
     comment: Option<String>,
     super_classes: Vec<String>,
-    object_properties: Vec<ObjectPropertyDecl>,
-    data_properties: Vec<(String, DataValue)>,
-}
-
-#[derive(Debug, Clone)]
-struct ObjectPropertyDecl {
-    property: String,
-    range: String,
-    transitive: bool,
-    symmetric: bool,
-}
-
-#[derive(Debug, Clone)]
-enum DataValue {
-    Str(String),
-    Int(i64),
-    Double(f64),
-    Bool(bool),
+    /// Transitive object properties as `(property, range)` pairs.
+    transitive_properties: Vec<(String, String)>,
 }
 
 impl ClassDescription {
@@ -61,8 +44,7 @@ impl ClassDescription {
             id: id.into(),
             comment: None,
             super_classes: Vec::new(),
-            object_properties: Vec::new(),
-            data_properties: Vec::new(),
+            transitive_properties: Vec::new(),
         }
     }
 
@@ -84,55 +66,8 @@ impl ClassDescription {
         property: impl Into<String>,
         range: impl Into<String>,
     ) -> Self {
-        self.object_properties.push(ObjectPropertyDecl {
-            property: property.into(),
-            range: range.into(),
-            transitive: true,
-            symmetric: false,
-        });
-        self
-    }
-
-    /// Declares a *symmetric* object property.
-    pub fn symmetric_object_property(
-        mut self,
-        property: impl Into<String>,
-        range: impl Into<String>,
-    ) -> Self {
-        self.object_properties.push(ObjectPropertyDecl {
-            property: property.into(),
-            range: range.into(),
-            transitive: false,
-            symmetric: true,
-        });
-        self
-    }
-
-    /// Attaches a string-valued data property.
-    pub fn data_str(mut self, property: impl Into<String>, value: impl Into<String>) -> Self {
-        self.data_properties
-            .push((property.into(), DataValue::Str(value.into())));
-        self
-    }
-
-    /// Attaches an integer-valued data property.
-    pub fn data_int(mut self, property: impl Into<String>, value: i64) -> Self {
-        self.data_properties
-            .push((property.into(), DataValue::Int(value)));
-        self
-    }
-
-    /// Attaches a double-valued data property.
-    pub fn data_double(mut self, property: impl Into<String>, value: f64) -> Self {
-        self.data_properties
-            .push((property.into(), DataValue::Double(value)));
-        self
-    }
-
-    /// Attaches a boolean-valued data property.
-    pub fn data_bool(mut self, property: impl Into<String>, value: bool) -> Self {
-        self.data_properties
-            .push((property.into(), DataValue::Bool(value)));
+        self.transitive_properties
+            .push((property.into(), range.into()));
         self
     }
 
@@ -152,26 +87,11 @@ impl ClassDescription {
         for class in &self.super_classes {
             count(graph.add(&self.id, rdfs::SUB_CLASS_OF, class));
         }
-        for decl in &self.object_properties {
-            count(graph.add(&decl.property, rdf::TYPE, owl::OBJECT_PROPERTY));
-            count(graph.add(&decl.property, rdfs::RANGE, &decl.range));
-            count(graph.add(&self.id, &decl.property, &decl.range));
-            if decl.transitive {
-                count(graph.add(&decl.property, rdf::TYPE, owl::TRANSITIVE_PROPERTY));
-            }
-            if decl.symmetric {
-                count(graph.add(&decl.property, rdf::TYPE, owl::SYMMETRIC_PROPERTY));
-            }
-        }
-        for (property, value) in &self.data_properties {
-            count(graph.add(property, rdf::TYPE, owl::DATATYPE_PROPERTY));
-            let lit: Term = match value {
-                DataValue::Str(s) => graph.str_lit(s),
-                DataValue::Int(i) => graph.int_lit(*i),
-                DataValue::Double(d) => graph.double_lit(*d),
-                DataValue::Bool(b) => graph.bool_lit(*b),
-            };
-            count(graph.add_with_object(&self.id, property, lit));
+        for (property, range) in &self.transitive_properties {
+            count(graph.add(property, rdf::TYPE, owl::OBJECT_PROPERTY));
+            count(graph.add(property, rdfs::RANGE, range));
+            count(graph.add(&self.id, property, range));
+            count(graph.add(property, rdf::TYPE, owl::TRANSITIVE_PROPERTY));
         }
         added
     }
@@ -188,19 +108,11 @@ mod tests {
             .comment("hp color printer")
             .sub_class_of("imcl:Printer")
             .transitive_object_property("imcl:locatedIn", "imcl:Office821")
-            .data_int("imcl:pagesPerMinute", 20)
-            .data_double("imcl:dpi", 600.0)
-            .data_bool("imcl:color", true)
-            .data_str("imcl:vendor", "hp")
             .apply(&mut g);
-        assert!(added >= 10);
+        assert_eq!(added, 7);
         assert!(g.contains("imcl:hpLaserJet", rdf::TYPE, owl::CLASS));
         assert!(g.contains("imcl:hpLaserJet", "imcl:locatedIn", "imcl:Office821"));
         assert!(g.contains("imcl:locatedIn", rdfs::RANGE, "imcl:Office821"));
-        assert_eq!(
-            g.objects_of("imcl:hpLaserJet", "imcl:pagesPerMinute")[0].as_f64(),
-            Some(20.0)
-        );
     }
 
     #[test]
@@ -211,14 +123,5 @@ mod tests {
         let second = desc.apply(&mut g);
         assert!(first > 0);
         assert_eq!(second, 0);
-    }
-
-    #[test]
-    fn symmetric_property_flag() {
-        let mut g = Graph::new();
-        ClassDescription::new("ex:RoomA")
-            .symmetric_object_property("ex:adjacentTo", "ex:RoomB")
-            .apply(&mut g);
-        assert!(g.contains("ex:adjacentTo", rdf::TYPE, owl::SYMMETRIC_PROPERTY));
     }
 }

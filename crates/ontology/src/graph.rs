@@ -48,6 +48,7 @@ impl Graph {
     }
 
     /// An integer literal term.
+    #[cfg(test)]
     pub fn int_lit(&self, value: i64) -> Term {
         Term::Literal(Literal::Int(value))
     }
@@ -58,6 +59,7 @@ impl Graph {
     }
 
     /// A boolean literal term.
+    #[cfg(test)]
     pub fn bool_lit(&self, value: bool) -> Term {
         Term::Literal(Literal::Bool(value))
     }

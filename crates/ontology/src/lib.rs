@@ -58,10 +58,10 @@ pub mod vocab;
 
 pub use describe::ClassDescription;
 pub use graph::Graph;
-pub use query::{ask_pattern, filter, Query, Row};
+pub use query::{Query, Row};
 pub use reason::{axiom_rules, match_rule, unify_pattern, Reasoner, ReasonerStats, RetractStats};
 pub use rule::{BuiltinAtom, BuiltinOp, Rule, RuleAtom};
-pub use serializer::{write_rule, write_rules, write_triples};
+pub use serializer::write_triples;
 pub use store::Store;
 pub use term::{Interner, Literal, OrderedF64, SymbolId, Term};
 pub use triple::{PatternTerm, Triple, TriplePattern, VarId};

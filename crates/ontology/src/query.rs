@@ -10,10 +10,9 @@ use std::sync::Arc;
 
 use crate::graph::Graph;
 use crate::parser::{syntax_error, tokenize, ParseError};
-use crate::rule::{BuiltinAtom, BuiltinOp, Rule, RuleAtom};
+use crate::rule::Rule;
 use crate::store::Store;
 use crate::term::Term;
-use crate::triple::VarId;
 
 /// A compiled conjunctive query.
 ///
@@ -81,9 +80,9 @@ impl Row {
     }
 
     /// The binding of a variable by its rule-local id — O(1), no name
-    /// lookup. Ids come from [`Query::var_names`] positions (or
-    /// [`crate::rule::Rule::var`] when the query was built from atoms).
-    pub fn get_var(&self, var: VarId) -> Option<Term> {
+    /// lookup. Ids come from [`Query::var_names`] positions.
+    #[cfg(test)]
+    pub fn get_var(&self, var: crate::triple::VarId) -> Option<Term> {
         self.values.get(var.0 as usize).copied().flatten()
     }
 
@@ -132,15 +131,6 @@ impl Query {
         Ok(Query { rule, schema })
     }
 
-    /// Builds a query directly from atoms (used by the registry layer).
-    pub fn from_atoms(atoms: Vec<RuleAtom>, var_names: Vec<String>) -> Query {
-        let schema = Arc::new(RowSchema::new(var_names.clone()));
-        Query {
-            rule: Rule::new("query", atoms, Vec::new(), var_names),
-            schema,
-        }
-    }
-
     /// The variable names, in first-mention order.
     pub fn var_names(&self) -> &[String] {
         &self.rule.var_names
@@ -158,6 +148,7 @@ impl Query {
     }
 
     /// Whether at least one solution exists (ASK-style).
+    #[cfg(test)]
     pub fn ask(&self, store: &Store) -> bool {
         !self.solve(store).is_empty()
     }
@@ -177,33 +168,10 @@ impl Query {
     }
 }
 
-/// Convenience: one-shot ASK of a single `(s p o)` pattern with optional
-/// wildcards, by name.
-pub fn ask_pattern(graph: &Graph, s: Option<&str>, p: Option<&str>, o: Option<&str>) -> bool {
-    let resolve = |name: Option<&str>| -> Option<Option<Term>> {
-        match name {
-            None => Some(None),
-            Some(n) => graph.try_iri(n).map(Some),
-        }
-    };
-    let (Some(s), Some(p), Some(o)) = (resolve(s), resolve(p), resolve(o)) else {
-        return false; // A named term that was never interned matches nothing.
-    };
-    !graph.store().match_spo(s, p, o).is_empty()
-}
-
-/// Builds a [`BuiltinAtom`] filter for use with [`Query::from_atoms`].
-pub fn filter(op: BuiltinOp, lhs: VarId, rhs: Term) -> RuleAtom {
-    RuleAtom::Builtin(BuiltinAtom {
-        op,
-        lhs: lhs.into(),
-        rhs: rhs.into(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::triple::VarId;
 
     fn sample() -> Graph {
         let mut g = Graph::new();
@@ -317,25 +285,6 @@ mod tests {
         let pairs: Vec<_> = rows[0].bindings().collect();
         assert_eq!(pairs.len(), 1);
         assert_eq!(pairs[0].0, "x");
-    }
-
-    #[test]
-    fn ask_pattern_wildcards() {
-        let g = sample();
-        assert!(ask_pattern(&g, Some("imcl:prn1"), None, None));
-        assert!(ask_pattern(
-            &g,
-            None,
-            Some("rdf:type"),
-            Some("imcl:Scanner")
-        ));
-        assert!(!ask_pattern(&g, Some("imcl:ghost"), None, None));
-        assert!(!ask_pattern(
-            &g,
-            Some("imcl:prn1"),
-            Some("rdf:type"),
-            Some("imcl:Scanner")
-        ));
     }
 
     #[test]

@@ -186,6 +186,7 @@ impl Rule {
     }
 
     /// Id of a named variable, if the rule uses it.
+    #[cfg(test)]
     pub fn var(&self, name: &str) -> Option<VarId> {
         self.var_names
             .iter()

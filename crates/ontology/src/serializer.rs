@@ -1,15 +1,11 @@
-//! Serialization of graphs and rules back to text.
+//! Serialization of graphs back to text.
 //!
-//! Registries export their ontology state for inspection, and rules render
-//! back to the Jena syntax they were parsed from, giving parse ⇄ render
-//! round trips the property tests can lean on.
-
-use std::fmt::Write as _;
+//! A graph renders as Turtle-lite text that the triple parser reads back,
+//! giving the parse ⇄ render round trip the property tests lean on. The
+//! tests also render rules back to the Jena syntax they were parsed from.
 
 use crate::graph::Graph;
-use crate::rule::{BuiltinAtom, Rule, RuleAtom};
 use crate::term::{Literal, Term};
-use crate::triple::{PatternTerm, TriplePattern};
 
 /// Renders the whole graph as Turtle-lite text, one statement per line,
 /// sorted lexicographically for deterministic output. The result parses
@@ -50,76 +46,80 @@ fn escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('\'', "\\'")
 }
 
-fn render_pattern_term(graph: &Graph, rule: &Rule, pt: PatternTerm) -> String {
-    match pt {
-        PatternTerm::Var(v) => format!(
-            "?{}",
-            rule.var_names
-                .get(v.0 as usize)
-                .map(String::as_str)
-                .unwrap_or("_")
-        ),
-        PatternTerm::Ground(t) => render_object(graph, t),
-    }
-}
-
-fn render_pattern(graph: &Graph, rule: &Rule, p: &TriplePattern) -> String {
-    format!(
-        "({} {} {})",
-        render_pattern_term(graph, rule, p.s),
-        render_pattern_term(graph, rule, p.p),
-        render_pattern_term(graph, rule, p.o)
-    )
-}
-
-fn render_builtin(graph: &Graph, rule: &Rule, b: &BuiltinAtom) -> String {
-    format!(
-        "{}({}, {})",
-        b.op.name(),
-        render_pattern_term(graph, rule, b.lhs),
-        render_pattern_term(graph, rule, b.rhs)
-    )
-}
-
-/// Renders one rule in Jena syntax; the result parses back via
-/// [`parse_rules`](crate::parser::parse_rules) to an equivalent rule.
-pub fn write_rule(graph: &Graph, rule: &Rule) -> String {
-    let mut out = String::new();
-    // Writing into a String cannot fail; ignore the Result.
-    let _ = write!(out, "[{}: ", rule.name);
-    let body: Vec<String> = rule
-        .premises
-        .iter()
-        .map(|a| match a {
-            RuleAtom::Pattern(p) => render_pattern(graph, rule, p),
-            RuleAtom::Builtin(b) => render_builtin(graph, rule, b),
-        })
-        .collect();
-    out.push_str(&body.join(", "));
-    out.push_str(" -> ");
-    let head: Vec<String> = rule
-        .conclusions
-        .iter()
-        .map(|p| render_pattern(graph, rule, p))
-        .collect();
-    out.push_str(&head.join(", "));
-    out.push(']');
-    out
-}
-
-/// Renders a whole rule set, one rule per line.
-pub fn write_rules(graph: &Graph, rules: &[Rule]) -> String {
-    rules
-        .iter()
-        .map(|r| write_rule(graph, r))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[cfg(test)]
 mod tests {
+    use std::fmt::Write as _;
+
     use super::*;
     use crate::parser::{parse_rules, parse_triples};
+    use crate::rule::{BuiltinAtom, Rule, RuleAtom};
+    use crate::triple::{PatternTerm, TriplePattern};
+
+    fn render_pattern_term(graph: &Graph, rule: &Rule, pt: PatternTerm) -> String {
+        match pt {
+            PatternTerm::Var(v) => format!(
+                "?{}",
+                rule.var_names
+                    .get(v.0 as usize)
+                    .map(String::as_str)
+                    .unwrap_or("_")
+            ),
+            PatternTerm::Ground(t) => render_object(graph, t),
+        }
+    }
+
+    fn render_pattern(graph: &Graph, rule: &Rule, p: &TriplePattern) -> String {
+        format!(
+            "({} {} {})",
+            render_pattern_term(graph, rule, p.s),
+            render_pattern_term(graph, rule, p.p),
+            render_pattern_term(graph, rule, p.o)
+        )
+    }
+
+    fn render_builtin(graph: &Graph, rule: &Rule, b: &BuiltinAtom) -> String {
+        format!(
+            "{}({}, {})",
+            b.op.name(),
+            render_pattern_term(graph, rule, b.lhs),
+            render_pattern_term(graph, rule, b.rhs)
+        )
+    }
+
+    /// Renders one rule in Jena syntax; the result parses back via
+    /// [`parse_rules`](crate::parser::parse_rules) to an equivalent rule.
+    fn write_rule(graph: &Graph, rule: &Rule) -> String {
+        let mut out = String::new();
+        // Writing into a String cannot fail; ignore the Result.
+        let _ = write!(out, "[{}: ", rule.name);
+        let body: Vec<String> = rule
+            .premises
+            .iter()
+            .map(|a| match a {
+                RuleAtom::Pattern(p) => render_pattern(graph, rule, p),
+                RuleAtom::Builtin(b) => render_builtin(graph, rule, b),
+            })
+            .collect();
+        out.push_str(&body.join(", "));
+        out.push_str(" -> ");
+        let head: Vec<String> = rule
+            .conclusions
+            .iter()
+            .map(|p| render_pattern(graph, rule, p))
+            .collect();
+        out.push_str(&head.join(", "));
+        out.push(']');
+        out
+    }
+
+    /// Renders a whole rule set, one rule per line.
+    fn write_rules(graph: &Graph, rules: &[Rule]) -> String {
+        rules
+            .iter()
+            .map(|r| write_rule(graph, r))
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
 
     #[test]
     fn triples_roundtrip_through_text() {

@@ -173,12 +173,8 @@ pub enum Term {
 }
 
 impl Term {
-    /// Whether the term is an IRI.
-    pub fn is_iri(&self) -> bool {
-        matches!(self, Term::Iri(_))
-    }
-
     /// Whether the term is a literal.
+    #[cfg(test)]
     pub fn is_literal(&self) -> bool {
         matches!(self, Term::Literal(_))
     }
@@ -276,7 +272,7 @@ mod tests {
             Term::Literal(Literal::Int(7)).display(&i).to_string(),
             "'7'^^xsd:integer"
         );
-        assert!(iri.is_iri() && !iri.is_literal());
+        assert!(!iri.is_literal());
         assert!(s.is_literal());
     }
 }

@@ -64,6 +64,7 @@ pub enum PatternTerm {
 
 impl PatternTerm {
     /// The ground term, if this position is ground.
+    #[cfg(test)]
     pub fn ground(&self) -> Option<Term> {
         match self {
             PatternTerm::Ground(t) => Some(*t),
@@ -122,11 +123,6 @@ impl TriplePattern {
         [self.s, self.p, self.o].into_iter().filter_map(|t| t.var())
     }
 
-    /// Whether the pattern has no variables.
-    pub fn is_ground(&self) -> bool {
-        self.vars().next().is_none()
-    }
-
     /// Instantiates the pattern under `bindings`; `None` if any variable is
     /// unbound.
     pub fn instantiate(&self, bindings: &[Option<Term>]) -> Option<Triple> {
@@ -167,9 +163,8 @@ mod tests {
         let (_i, s, p, _o) = terms();
         let pat = TriplePattern::new(VarId(0), p, VarId(1));
         assert_eq!(pat.vars().collect::<Vec<_>>(), [VarId(0), VarId(1)]);
-        assert!(!pat.is_ground());
         let ground = TriplePattern::new(s, p, s);
-        assert!(ground.is_ground());
+        assert!(ground.vars().next().is_none());
     }
 
     #[test]

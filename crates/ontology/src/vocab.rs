@@ -27,8 +27,6 @@ pub mod owl {
     pub const CLASS: &str = "owl:Class";
     /// `owl:ObjectProperty`.
     pub const OBJECT_PROPERTY: &str = "owl:ObjectProperty";
-    /// `owl:DatatypeProperty`.
-    pub const DATATYPE_PROPERTY: &str = "owl:DatatypeProperty";
     /// `owl:TransitiveProperty`.
     pub const TRANSITIVE_PROPERTY: &str = "owl:TransitiveProperty";
     /// `owl:SymmetricProperty`.

@@ -1,6 +1,6 @@
 //! Property tests for the triple store and the forward-chaining reasoner.
 
-use mdagent_ontology::{parser::parse_rules, Graph, Reasoner, Store, Term, Triple};
+use mdagent_ontology::{parser::parse_rules, Graph, Literal, Reasoner, Store, Term, Triple};
 use proptest::prelude::*;
 
 /// Strategy: a small universe of node names.
@@ -146,7 +146,7 @@ proptest! {
             g.add(s, p, o);
         }
         for (s, v) in &lits {
-            let lit = g.int_lit(*v);
+            let lit = Term::Literal(Literal::Int(*v));
             g.add_with_object(s, "ex:value", lit);
         }
         let text = write_triples(&g);

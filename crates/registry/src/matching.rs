@@ -38,39 +38,14 @@ pub struct ResourceMatch {
     pub quality: MatchQuality,
 }
 
-impl ResourceMatch {
-    /// Whether the application can rebind to this resource without
-    /// shipping anything (it exists at the destination already).
-    pub fn is_local_rebind(&self) -> bool {
-        !self.resource.transferable || self.quality != MatchQuality::Exact
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdagent_simnet::{HostId, SpaceId};
 
     #[test]
     fn quality_orders_best_first() {
         assert!(MatchQuality::Exact < MatchQuality::Subsumed);
         assert!(MatchQuality::Subsumed < MatchQuality::Substitutable);
         assert_eq!(MatchQuality::Exact.to_string(), "exact");
-    }
-
-    #[test]
-    fn local_rebind_logic() {
-        let fixed = ResourceRecord::new("r", "c", SpaceId(0), HostId(0)).transferable(false);
-        let portable = ResourceRecord::new("r", "c", SpaceId(0), HostId(0)).transferable(true);
-        assert!(ResourceMatch {
-            resource: fixed,
-            quality: MatchQuality::Exact
-        }
-        .is_local_rebind());
-        assert!(!ResourceMatch {
-            resource: portable,
-            quality: MatchQuality::Exact
-        }
-        .is_local_rebind());
     }
 }

@@ -54,6 +54,7 @@ impl InterfaceDescription {
     }
 
     /// Adds an operation (builder style).
+    #[cfg(test)]
     pub fn operation(mut self, op: Operation) -> Self {
         self.operations.push(op);
         self
@@ -63,11 +64,6 @@ impl InterfaceDescription {
     pub fn endpoint(mut self, endpoint: impl Into<String>) -> Self {
         self.endpoint = endpoint.into();
         self
-    }
-
-    /// Whether the interface offers an operation by name.
-    pub fn has_operation(&self, name: &str) -> bool {
-        self.operations.iter().any(|o| o.name == name)
     }
 }
 
@@ -150,6 +146,7 @@ impl ApplicationRecord {
 
     /// Advertises a component's content digest (builder style). A later
     /// digest for the same component name replaces the earlier one.
+    #[cfg(test)]
     pub fn with_digest(mut self, component: impl Into<String>, digest: u64) -> Self {
         self.set_digest(component.into(), digest);
         self
@@ -165,6 +162,7 @@ impl ApplicationRecord {
     }
 
     /// The advertised digest of a component, if any.
+    #[cfg(test)]
     pub fn component_digest(&self, component: &str) -> Option<u64> {
         self.digests
             .iter()
@@ -278,8 +276,6 @@ mod tests {
         assert!(text.contains("<service name=\"media-player\""));
         assert!(text.contains("<operation name=\"play\" input=\"track\" output=\"status\"/>"));
         assert!(text.ends_with("</service>"));
-        assert!(iface.has_operation("play"));
-        assert!(!iface.has_operation("seek"));
     }
 
     #[test]

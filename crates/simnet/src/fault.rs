@@ -15,7 +15,7 @@
 //!
 //! ```
 //! use mdagent_simnet::{
-//!     CpuFactor, FaultInjector, FaultOptions, SimDuration, SimTime, Topology, TransferFault,
+//!     CpuFactor, FaultInjector, FaultOptions, SimDuration, Topology, TransferFault,
 //! };
 //!
 //! let mut topo = Topology::new();
@@ -26,14 +26,13 @@
 //!
 //! let mut faults = FaultInjector::new(FaultOptions::with_drop_probability(1.0), 7);
 //! assert!(matches!(
-//!     faults.assess(&topo, a, b, SimTime::ZERO),
+//!     faults.assess(&topo, a, b),
 //!     Some(TransferFault::Dropped(_))
 //! ));
 //! # Ok::<(), mdagent_simnet::TopologyError>(())
 //! ```
 
 use crate::rng::SimRng;
-use crate::time::SimTime;
 use crate::topology::{HostId, LinkId, LinkKind, Topology};
 
 /// Opt-in fault-model switches. Defaults are all **off**, which keeps every
@@ -90,8 +89,6 @@ pub enum TransferFault {
 pub struct FaultInjector {
     options: FaultOptions,
     rng: SimRng,
-    /// Transient outage windows: the link is down while `from <= now < until`.
-    down: Vec<(LinkId, SimTime, SimTime)>,
 }
 
 impl FaultInjector {
@@ -105,7 +102,6 @@ impl FaultInjector {
         FaultInjector {
             options,
             rng: SimRng::seed_from(seed),
-            down: Vec::new(),
         }
     }
 
@@ -114,14 +110,14 @@ impl FaultInjector {
         self.options
     }
 
-    /// Replaces the knobs (outage windows are kept).
+    /// Replaces the knobs.
     pub fn set_options(&mut self, options: FaultOptions) {
         self.options = options;
     }
 
-    /// True when any fault source is live (knobs or scheduled windows).
+    /// True when any knob is live.
     pub fn enabled(&self) -> bool {
-        self.options.enabled() || !self.down.is_empty()
+        self.options.enabled()
     }
 
     /// Switches the gateway outage on or off.
@@ -134,61 +130,22 @@ impl FaultInjector {
         self.options.gateway_outage
     }
 
-    /// Declares a transient outage: `link` is down while `from <= now < until`.
-    pub fn link_down_between(&mut self, link: LinkId, from: SimTime, until: SimTime) {
-        self.down.push((link, from, until));
-    }
-
-    /// Whether `link` (of the given kind) is down at `now`.
-    pub fn is_link_down(&self, link: LinkId, kind: LinkKind, now: SimTime) -> bool {
-        if self.options.gateway_outage && kind == LinkKind::Gateway {
-            return true;
-        }
-        self.down
-            .iter()
-            .any(|&(l, from, until)| l == link && from <= now && now < until)
-    }
-
-    /// First down link on the route from `from` to `to` at `now`, if any.
-    /// Purely time-driven — never draws from the RNG.
-    pub fn route_blocked(
-        &self,
-        topo: &Topology,
-        from: HostId,
-        to: HostId,
-        now: SimTime,
-    ) -> Option<LinkId> {
-        if !self.enabled() {
-            return None;
-        }
-        let route = topo.route(from, to).ok()?;
-        route.into_iter().find(|&lid| {
-            topo.link(lid)
-                .is_some_and(|l| self.is_link_down(lid, l.kind(), now))
-        })
-    }
-
-    /// Assesses one transfer attempt from `from` to `to` starting at `now`.
+    /// Assesses one transfer attempt from `from` to `to`.
     ///
     /// Down links are checked first (no RNG cost); otherwise one Bernoulli
     /// draw per route link decides whether the transfer is lost. Returns
     /// `None` for a clean transfer. A disabled injector returns `None`
     /// without drawing.
-    pub fn assess(
-        &mut self,
-        topo: &Topology,
-        from: HostId,
-        to: HostId,
-        now: SimTime,
-    ) -> Option<TransferFault> {
+    pub fn assess(&mut self, topo: &Topology, from: HostId, to: HostId) -> Option<TransferFault> {
         if !self.enabled() {
             return None;
         }
         let route = topo.route(from, to).ok()?;
-        for &lid in &route {
-            let kind = topo.link(lid).map(|l| l.kind())?;
-            if self.is_link_down(lid, kind, now) {
-                return Some(TransferFault::LinkDown(lid));
+        if self.options.gateway_outage {
+            for &lid in &route {
+                if topo.link(lid)?.kind() == LinkKind::Gateway {
+                    return Some(TransferFault::LinkDown(lid));
+                }
             }
         }
         if self.options.drop_probability > 0.0 {
@@ -228,7 +185,7 @@ mod tests {
         let mut faults = FaultInjector::disabled();
         let before = faults.rng.clone().uniform_u64(0, u64::MAX);
         for _ in 0..32 {
-            assert_eq!(faults.assess(&topo, a, b, SimTime::ZERO), None);
+            assert_eq!(faults.assess(&topo, a, b), None);
         }
         // The RNG stream was never advanced.
         assert_eq!(faults.rng.uniform_u64(0, u64::MAX), before);
@@ -239,7 +196,7 @@ mod tests {
         let (topo, a, _, b) = two_space_topo();
         let mut faults = FaultInjector::new(FaultOptions::with_drop_probability(1.0), 11);
         assert!(matches!(
-            faults.assess(&topo, a, b, SimTime::ZERO),
+            faults.assess(&topo, a, b),
             Some(TransferFault::Dropped(_))
         ));
     }
@@ -251,10 +208,7 @@ mod tests {
         let mut f1 = FaultInjector::new(opts, 42);
         let mut f2 = FaultInjector::new(opts, 42);
         for _ in 0..64 {
-            assert_eq!(
-                f1.assess(&topo, a, b, SimTime::ZERO),
-                f2.assess(&topo, a, b, SimTime::ZERO)
-            );
+            assert_eq!(f1.assess(&topo, a, b), f2.assess(&topo, a, b));
         }
     }
 
@@ -265,38 +219,12 @@ mod tests {
         faults.set_gateway_outage(true);
         assert!(faults.enabled());
         assert!(matches!(
-            faults.assess(&topo, a, b, SimTime::ZERO),
+            faults.assess(&topo, a, b),
             Some(TransferFault::LinkDown(_))
         ));
         // Intra-space traffic is untouched.
-        assert_eq!(faults.assess(&topo, a, gw, SimTime::ZERO), None);
+        assert_eq!(faults.assess(&topo, a, gw), None);
         faults.set_gateway_outage(false);
-        assert_eq!(faults.assess(&topo, a, b, SimTime::ZERO), None);
-    }
-
-    #[test]
-    fn link_down_window_is_half_open() {
-        let (topo, a, _, b) = two_space_topo();
-        let route = topo.route(a, b).unwrap();
-        let lid = route[0];
-        let mut faults = FaultInjector::disabled();
-        faults.link_down_between(lid, SimTime::from_millis(10), SimTime::from_millis(20));
-        assert_eq!(faults.route_blocked(&topo, a, b, SimTime::ZERO), None);
-        assert_eq!(
-            faults.route_blocked(&topo, a, b, SimTime::from_millis(10)),
-            Some(lid)
-        );
-        assert_eq!(
-            faults.route_blocked(&topo, a, b, SimTime::from_millis(19)),
-            Some(lid)
-        );
-        assert_eq!(
-            faults.route_blocked(&topo, a, b, SimTime::from_millis(20)),
-            None
-        );
-        assert!(matches!(
-            faults.assess(&topo, a, b, SimTime::from_millis(15)),
-            Some(TransferFault::LinkDown(l)) if l == lid
-        ));
+        assert_eq!(faults.assess(&topo, a, b), None);
     }
 }

@@ -12,7 +12,7 @@
 //!   latency + bandwidth transfer costing.
 //! * [`SimRng`] — seeded randomness (sensor noise).
 //! * [`FaultInjector`] — opt-in, seeded network fault injection (per-link
-//!   drops, transient link-down windows, gateway outage).
+//!   drops, gateway outage).
 //! * [`MetricsRegistry`] and [`Trace`] — measurement and narration.
 //! * [`Telemetry`] — span-based profiling on the simulated clock, plus an
 //!   opt-in bounded tail-based sampler ([`Telemetry::sampled`]). The crate

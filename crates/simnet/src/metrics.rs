@@ -4,13 +4,10 @@
 //! bucket histograms, and labeled gauges out of a [`MetricsRegistry`]
 //! after a scenario run; nothing here touches wall-clock time.
 //!
-//! Hot paths use the `*_static` entry points, which key the underlying
-//! maps with `&'static str` and therefore never allocate for the name;
-//! the `&str` entry points only allocate the first time a new dynamic
-//! name appears.
+//! Every metric is written under a `&'static str` name, so the maps never
+//! allocate for a name; readers look series up by any `&str`.
 
 use mdagent_fx::FxHashMap;
-use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -248,10 +245,6 @@ impl fmt::Display for Histogram {
     }
 }
 
-/// Map key that is borrowed for `&'static str` names and owned only for
-/// dynamic ones.
-type Key = Cow<'static, str>;
-
 /// Named counters, duration series, histograms, and labeled gauges for
 /// one scenario run.
 ///
@@ -261,9 +254,9 @@ type Key = Cow<'static, str>;
 /// use mdagent_simnet::{MetricsRegistry, SimDuration};
 ///
 /// let mut metrics = MetricsRegistry::new();
-/// metrics.incr("messages.sent");
-/// metrics.incr_by("bytes.sent", 1500);
-/// metrics.observe("migration.total", SimDuration::from_millis(950));
+/// metrics.incr_static("messages.sent");
+/// metrics.incr_by_static("bytes.sent", 1500);
+/// metrics.observe_static("migration.total", SimDuration::from_millis(950));
 /// metrics.set_gauge_static("platform.inbox_depth", "app-0@host-1", 3);
 /// assert_eq!(metrics.counter("messages.sent"), 1);
 /// assert_eq!(metrics.durations("migration.total").unwrap().count(), 1);
@@ -271,11 +264,11 @@ type Key = Cow<'static, str>;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<Key, u64>,
-    durations: BTreeMap<Key, DurationStats>,
-    histograms: BTreeMap<Key, Histogram>,
+    counters: BTreeMap<&'static str, u64>,
+    durations: BTreeMap<&'static str, DurationStats>,
+    histograms: BTreeMap<&'static str, Histogram>,
     /// Label series are hashed; [`MetricsRegistry::gauges`] sorts them.
-    gauges: BTreeMap<Key, FxHashMap<String, u64>>,
+    gauges: BTreeMap<&'static str, FxHashMap<String, u64>>,
     /// Reused buffer gauge labels are rendered into.
     label_buf: String,
 }
@@ -284,21 +277,6 @@ impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Adds 1 to a named counter.
-    pub fn incr(&mut self, name: &str) {
-        self.incr_by(name, 1);
-    }
-
-    /// Adds `delta` to a named counter. Allocates only the first time a
-    /// dynamic name is seen.
-    pub fn incr_by(&mut self, name: &str, delta: u64) {
-        if let Some(v) = self.counters.get_mut(name) {
-            *v += delta;
-        } else {
-            self.counters.insert(Cow::Owned(name.to_owned()), delta);
-        }
     }
 
     /// Adds 1 to a counter keyed by a `&'static str`: never allocates.
@@ -310,7 +288,7 @@ impl MetricsRegistry {
     /// Adds `delta` to a counter keyed by a `&'static str`: never
     /// allocates for the name.
     pub fn incr_by_static(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(Cow::Borrowed(name)).or_default() += delta;
+        *self.counters.entry(name).or_default() += delta;
     }
 
     /// Current value of a counter (0 if never touched).
@@ -318,26 +296,11 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Records a duration sample under `name`. Allocates only the first
-    /// time a dynamic name is seen.
-    pub fn observe(&mut self, name: &str, d: SimDuration) {
-        if let Some(stats) = self.durations.get_mut(name) {
-            stats.record(d);
-        } else {
-            let mut stats = DurationStats::new();
-            stats.record(d);
-            self.durations.insert(Cow::Owned(name.to_owned()), stats);
-        }
-    }
-
     /// Records a duration sample under a `&'static str` name: never
     /// allocates for the name.
     // mdlint::hot
     pub fn observe_static(&mut self, name: &'static str, d: SimDuration) {
-        self.durations
-            .entry(Cow::Borrowed(name))
-            .or_default()
-            .record(d);
+        self.durations.entry(name).or_default().record(d);
     }
 
     /// Duration distribution for `name`, if any samples were recorded.
@@ -349,10 +312,7 @@ impl MetricsRegistry {
     /// creating it with [`Histogram::DEFAULT_BOUNDS_MICROS`] on first use.
     // mdlint::hot
     pub fn observe_hist_static(&mut self, name: &'static str, d: SimDuration) {
-        self.histograms
-            .entry(Cow::Borrowed(name))
-            .or_default()
-            .observe(d);
+        self.histograms.entry(name).or_default().observe(d);
     }
 
     /// The histogram `name`, if it exists.
@@ -362,7 +322,7 @@ impl MetricsRegistry {
 
     /// Iterates over all histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_ref(), v))
+        self.histograms.iter().map(|(k, v)| (*k, v))
     }
 
     /// Sets the labeled gauge `name{label}` to `value` (e.g. inbox depth
@@ -373,7 +333,7 @@ impl MetricsRegistry {
         self.label_buf.clear();
         // Writing into a `String` cannot fail.
         let _ = write!(self.label_buf, "{label}");
-        let series = self.gauges.entry(Cow::Borrowed(name)).or_default();
+        let series = self.gauges.entry(name).or_default();
         if let Some(v) = series.get_mut(self.label_buf.as_str()) {
             *v = value;
         } else {
@@ -395,7 +355,7 @@ impl MetricsRegistry {
             .flat_map(|(name, series)| {
                 series
                     .iter()
-                    .map(move |(label, v)| (name.as_ref(), label.as_str(), *v))
+                    .map(move |(label, v)| (*name, label.as_str(), *v))
             })
             .collect();
         all.sort_unstable_by_key(|&(name, label, _)| (name, label));
@@ -404,20 +364,12 @@ impl MetricsRegistry {
 
     /// Iterates over all counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_ref(), *v))
+        self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
     /// Iterates over all duration series in name order.
     pub fn duration_series(&self) -> impl Iterator<Item = (&str, &DurationStats)> {
-        self.durations.iter().map(|(k, v)| (k.as_ref(), v))
-    }
-
-    /// Clears everything.
-    pub fn reset(&mut self) {
-        self.counters.clear();
-        self.durations.clear();
-        self.histograms.clear();
-        self.gauges.clear();
+        self.durations.iter().map(|(k, v)| (*k, v))
     }
 }
 
@@ -429,22 +381,10 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut m = MetricsRegistry::new();
-        m.incr("a");
-        m.incr_by("a", 4);
+        m.incr_static("a");
+        m.incr_by_static("a", 4);
         assert_eq!(m.counter("a"), 5);
         assert_eq!(m.counter("missing"), 0);
-    }
-
-    #[test]
-    fn static_and_dynamic_names_share_a_counter() {
-        let mut m = MetricsRegistry::new();
-        m.incr_static("acl.sent");
-        m.incr_by(String::from("acl.sent").as_str(), 2);
-        m.incr_by_static("acl.sent", 3);
-        assert_eq!(m.counter("acl.sent"), 6);
-        m.observe_static("d", SimDuration::from_millis(1));
-        m.observe("d", SimDuration::from_millis(2));
-        assert_eq!(m.durations("d").unwrap().count(), 2);
     }
 
     #[test]
@@ -573,24 +513,10 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_everything() {
-        let mut m = MetricsRegistry::new();
-        m.incr("x");
-        m.observe("d", SimDuration::from_millis(1));
-        m.observe_hist_static("h", SimDuration::from_millis(1));
-        m.set_gauge_static("g", "l", 1);
-        m.reset();
-        assert_eq!(m.counter("x"), 0);
-        assert!(m.durations("d").is_none());
-        assert!(m.histogram("h").is_none());
-        assert_eq!(m.gauge("g", "l"), None);
-    }
-
-    #[test]
     fn iteration_is_name_ordered() {
         let mut m = MetricsRegistry::new();
-        m.incr("b");
-        m.incr("a");
+        m.incr_static("b");
+        m.incr_static("a");
         let names: Vec<_> = m.counters().map(|(k, _)| k.to_owned()).collect();
         assert_eq!(names, ["a", "b"]);
     }

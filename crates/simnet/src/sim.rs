@@ -113,6 +113,7 @@ impl<W> Simulator<W> {
 
     /// Schedules `action` at the current instant, after already-queued
     /// events for this instant.
+    #[cfg(test)]
     pub fn schedule_now<F>(&mut self, action: F) -> EventId
     where
         F: FnOnce(&mut W, &mut Simulator<W>) + 'static,

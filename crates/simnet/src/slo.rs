@@ -142,11 +142,13 @@ impl Slo {
     }
 
     /// Current short-window burn rate.
+    #[cfg(test)]
     pub fn short_burn(&self, now: SimTime) -> f64 {
         self.burn_within(now, self.spec.short_window)
     }
 
     /// Current long-window burn rate.
+    #[cfg(test)]
     pub fn long_burn(&self, now: SimTime) -> f64 {
         self.burn_within(now, self.spec.long_window)
     }

@@ -414,13 +414,9 @@ impl Telemetry {
     }
 
     /// Whether spans are kept.
+    #[cfg(test)]
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Whether this collector tail-samples (vs. keeping every span).
-    pub fn is_sampled(&self) -> bool {
-        self.sampler.is_some()
     }
 
     /// The sampler configuration, if this collector samples.
@@ -1061,6 +1057,6 @@ mod tests {
         let reborn = run_trace(&mut tel, 100, None);
         assert_eq!(reborn.raw(), 0);
         assert_eq!(tel.spans()[0].id, reborn);
-        assert!(tel.is_sampled() && tel.is_enabled());
+        assert!(tel.sampler_options().is_some() && tel.is_enabled());
     }
 }

@@ -65,11 +65,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// Seconds since simulation start, with fractional part.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// The duration elapsed since `earlier`, saturating to zero if `earlier`
     /// is in the future.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {

@@ -115,7 +115,6 @@ pub enum LinkKind {
 /// A bidirectional network link.
 #[derive(Debug, Clone)]
 pub struct Link {
-    id: LinkId,
     endpoints: (HostId, HostId),
     kind: LinkKind,
     latency: SimDuration,
@@ -124,11 +123,6 @@ pub struct Link {
 }
 
 impl Link {
-    /// Link identifier.
-    pub fn id(&self) -> LinkId {
-        self.id
-    }
-
     /// The two endpoints (unordered).
     pub fn endpoints(&self) -> (HostId, HostId) {
         self.endpoints
@@ -242,7 +236,6 @@ impl std::error::Error for TopologyError {}
 /// let pc = topo.add_host("office-pc", office, CpuFactor::REFERENCE);
 /// let laptop = topo.add_host("lab-laptop", lab, CpuFactor::new(0.9));
 /// topo.add_gateway_link(pc, laptop, SimDuration::from_millis(8), 10_000_000, 0.8)?;
-/// assert!(topo.requires_gateway(pc, laptop)?);
 /// let route = topo.route(pc, laptop)?;
 /// assert_eq!(route.len(), 1);
 /// # Ok::<(), mdagent_simnet::TopologyError>(())
@@ -419,7 +412,6 @@ impl Topology {
     ) -> LinkId {
         let id = LinkId(self.links.len() as u32);
         self.links.push(Link {
-            id,
             endpoints: (a, b),
             kind,
             latency,
@@ -468,15 +460,6 @@ impl Topology {
     /// Number of spaces.
     pub fn space_count(&self) -> usize {
         self.spaces.len()
-    }
-
-    /// Whether migrating between two hosts crosses a space boundary.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TopologyError::UnknownHost`] for bad ids.
-    pub fn requires_gateway(&self, a: HostId, b: HostId) -> Result<bool, TopologyError> {
-        Ok(self.host(a)?.space() != self.host(b)?.space())
     }
 
     /// Fewest-hops route between two hosts (BFS), as a sequence of links.
@@ -766,8 +749,6 @@ mod tests {
         assert_eq!(topo.route(a, a).unwrap(), Vec::<LinkId>::new());
         assert_eq!(topo.route(a, b).unwrap().len(), 1);
         assert_eq!(topo.route(a, c).unwrap().len(), 2);
-        assert!(topo.requires_gateway(a, c).unwrap());
-        assert!(!topo.requires_gateway(a, b).unwrap());
     }
 
     #[test]

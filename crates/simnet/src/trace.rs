@@ -495,6 +495,7 @@ impl Trace {
     }
 
     /// Whether records are kept.
+    #[cfg(test)]
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
@@ -531,11 +532,6 @@ impl Trace {
         &self.entries
     }
 
-    /// Entries of one category, in order.
-    pub fn by_category(&self, category: TraceCategory) -> impl Iterator<Item = &TraceEntry> {
-        self.entries.iter().filter(move |e| e.category == category)
-    }
-
     /// Whether any entry's message contains `needle`.
     pub fn contains(&self, needle: &str) -> bool {
         self.entries.iter().any(|e| e.message().contains(needle))
@@ -556,11 +552,6 @@ impl Trace {
         }
         Ok(())
     }
-
-    /// Drops all entries (keeps enablement).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]
@@ -573,7 +564,13 @@ mod tests {
         t.record(SimTime::ZERO, TraceCategory::Sensor, "beacon 3 fired");
         t.record(SimTime::from_millis(1), TraceCategory::Agent, "AA decision");
         assert_eq!(t.entries().len(), 2);
-        assert_eq!(t.by_category(TraceCategory::Agent).count(), 1);
+        assert_eq!(
+            t.entries()
+                .iter()
+                .filter(|e| e.category == TraceCategory::Agent)
+                .count(),
+            1
+        );
         assert!(t.contains("decision"));
     }
 

@@ -18,10 +18,10 @@ struct Oracle {
 impl Oracle {
     fn new(topo: &Topology) -> Self {
         let mut adjacency: FxHashMap<HostId, Vec<LinkId>> = FxHashMap::default();
-        for link in (0..).map_while(|i| topo.link(LinkId(i))) {
+        for (id, link) in (0..).map_while(|i| Some((LinkId(i), topo.link(LinkId(i))?))) {
             let (a, b) = link.endpoints();
-            adjacency.entry(a).or_default().push(link.id());
-            adjacency.entry(b).or_default().push(link.id());
+            adjacency.entry(a).or_default().push(id);
+            adjacency.entry(b).or_default().push(id);
         }
         Oracle { adjacency }
     }
@@ -120,7 +120,8 @@ fn plan() -> impl Strategy<Value = Plan> {
 fn add_link(topo: &mut Topology, hosts: &[HostId], (a, b): (usize, usize)) {
     let (a, b) = (hosts[a % hosts.len()], hosts[b % hosts.len()]);
     let latency = SimDuration::from_millis(1);
-    let added = if topo.requires_gateway(a, b).unwrap() {
+    let space = |h| topo.host(h).unwrap().space();
+    let added = if space(a) != space(b) {
         topo.add_gateway_link(a, b, latency, 10_000_000, 0.8)
     } else {
         topo.add_lan_link(a, b, latency, 100_000_000, 0.8)

@@ -161,7 +161,7 @@ fn in_order_delivery_per_channel() {
         }
         fn on_message(&mut self, msg: &AclMessage, cx: Cx<'_, World>) {
             let seq = msg.conversation_id;
-            cx.world.env_mut().metrics.incr("recorder.count");
+            cx.world.env_mut().metrics.incr_static("recorder.count");
             // Order check: conversation ids must arrive 0,1,2,...
             assert_eq!(
                 seq,

@@ -54,7 +54,11 @@ fn fig4_sequence_is_observed() {
         TraceCategory::Application,
     ] {
         assert!(
-            world.trace().by_category(category).next().is_some(),
+            world
+                .trace()
+                .entries()
+                .iter()
+                .any(|e| e.category == category),
             "no {category} trace entries"
         );
     }

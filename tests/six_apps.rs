@@ -63,7 +63,7 @@ fn all_six_demos_coexist_and_follow() {
         80_000,
     )
     .unwrap();
-    assert_eq!(world.app_count(), 6);
+    assert_eq!(world.apps().count(), 6);
 
     // Work with each of them.
     MediaPlayer::play(&mut world, &mut sim, player, "suite.mp3").unwrap();
