@@ -4,7 +4,7 @@
 //! the states change, these presentations can get notified automatically."
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use mdagent_wire::impl_wire_struct;
 
@@ -47,7 +47,7 @@ impl_wire_struct!(ObserverRec { name, seen_version });
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Coordinator {
-    state: BTreeMap<Arc<str>, Arc<str>>,
+    state: Rc<BTreeMap<Rc<str>, Rc<str>>>,
     version: u64,
     observers: Vec<ObserverRec>,
     sync_links_raw: Vec<u32>,
@@ -84,14 +84,17 @@ impl Coordinator {
         self.version
     }
 
-    /// Writes one entry: an existing key keeps its shared key string and
-    /// gets a fresh value, so copies holding the old value keep it.
+    /// Writes one entry, first copying the map if a copy of this
+    /// coordinator still shares it. An existing key keeps its shared key
+    /// string and gets a fresh value, so copies holding the old value keep
+    /// it.
     fn put(&mut self, key: &str, value: &str) {
-        let value = Arc::from(value);
-        match self.state.get_mut(key) {
+        let state = Rc::make_mut(&mut self.state);
+        let value = Rc::from(value);
+        match state.get_mut(key) {
             Some(slot) => *slot = value,
             None => {
-                self.state.insert(Arc::from(key), value);
+                state.insert(Rc::from(key), value);
             }
         }
     }
@@ -114,7 +117,7 @@ impl Coordinator {
     }
 
     /// The whole state map.
-    pub fn state_map(&self) -> &BTreeMap<Arc<str>, Arc<str>> {
+    pub fn state_map(&self) -> &BTreeMap<Rc<str>, Rc<str>> {
         &self.state
     }
 
@@ -158,6 +161,14 @@ impl Coordinator {
 }
 
 #[cfg(test)]
+impl Coordinator {
+    /// The shared state map itself, for checking what copies share it.
+    pub(crate) fn shared_state(&self) -> &Rc<BTreeMap<Rc<str>, Rc<str>>> {
+        &self.state
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -188,8 +199,8 @@ mod tests {
     }
 
     /// The shared value of `key`.
-    fn value(c: &Coordinator, key: &str) -> Arc<str> {
-        Arc::clone(&c.state_map()[key])
+    fn value(c: &Coordinator, key: &str) -> Rc<str> {
+        Rc::clone(&c.state_map()[key])
     }
 
     #[test]
@@ -197,11 +208,11 @@ mod tests {
         let mut c = Coordinator::new();
         c.set_state("track", "prelude.mp3");
         let (key, old) = c.state_map().first_key_value().unwrap();
-        let (key, old) = (Arc::clone(key), Arc::clone(old));
+        let (key, old) = (Rc::clone(key), Rc::clone(old));
         c.set_state("track", "toccata.mp3");
         let (key_now, new) = c.state_map().first_key_value().unwrap();
-        assert!(Arc::ptr_eq(&key, key_now), "the key string is kept");
-        assert!(!Arc::ptr_eq(&old, new), "the value is a new string");
+        assert!(Rc::ptr_eq(&key, key_now), "the key string is kept");
+        assert!(!Rc::ptr_eq(&old, new), "the value is a new string");
         assert_eq!(&*old, "prelude.mp3");
         assert_eq!(c.state("track"), Some("toccata.mp3"));
     }
@@ -213,7 +224,7 @@ mod tests {
         source.set_state("deck", "keynote");
         let mut replica = source.clone();
         for key in ["slide", "deck"] {
-            assert!(Arc::ptr_eq(&value(&source, key), &value(&replica, key)));
+            assert!(Rc::ptr_eq(&value(&source, key), &value(&replica, key)));
         }
 
         // A write on the source leaves the replica as copied ...
@@ -228,7 +239,37 @@ mod tests {
         // Entries neither side wrote stay shared.
         let mut copy = source.clone();
         copy.set_state("slide", "14");
-        assert!(Arc::ptr_eq(&value(&source, "deck"), &value(&copy, "deck")));
+        assert!(Rc::ptr_eq(&value(&source, "deck"), &value(&copy, "deck")));
+    }
+
+    #[test]
+    fn a_copy_shares_the_map_until_a_write_copies_it_once() {
+        let mut source = Coordinator::new();
+        source.set_state("slide", "12");
+        let lone = Rc::as_ptr(source.shared_state());
+        source.set_state("slide", "13");
+        assert_eq!(Rc::as_ptr(source.shared_state()), lone, "no copy shares it");
+
+        let mut replica = source.clone();
+        assert!(Rc::ptr_eq(source.shared_state(), replica.shared_state()));
+        assert!(replica.apply_remote("deck", "keynote", 9));
+        let copied = Rc::as_ptr(replica.shared_state());
+        assert_ne!(copied, lone, "the write copied the shared map");
+        assert_eq!(Rc::as_ptr(source.shared_state()), lone);
+        assert_eq!(Rc::strong_count(source.shared_state()), 1);
+        assert_eq!(Rc::strong_count(replica.shared_state()), 1);
+        // Neither side copies again, and neither sees the other's writes.
+        replica.set_state("slide", "14");
+        source.set_state("slide", "15");
+        assert_eq!(Rc::as_ptr(replica.shared_state()), copied);
+        assert_eq!(Rc::as_ptr(source.shared_state()), lone);
+        assert_eq!(replica.state("slide"), Some("14"));
+        assert_eq!(source.state("slide"), Some("15"));
+        assert_eq!(source.state("deck"), None);
+        // A stale remote update copies nothing: it writes nothing.
+        let copy = source.clone();
+        assert!(!source.apply_remote("slide", "0", 1));
+        assert!(Rc::ptr_eq(source.shared_state(), copy.shared_state()));
     }
 
     #[test]

@@ -37,9 +37,10 @@ pub(crate) struct DataPath {
     /// Content-addressed store of component bytes known to the middleware;
     /// a destination resolves elided digests against it.
     store: FxHashMap<u64, Component>,
-    /// Last snapshot sequence each host acknowledged per app — the base a
-    /// delta may be computed against.
-    snapshot_bases: FxHashMap<(u32, String), u64>,
+    /// Last snapshot sequence each host (raw id) acknowledged, per app
+    /// name — the base a delta may be computed against. Keyed by name
+    /// first, so a lookup borrows the cargo's name.
+    snapshot_bases: FxHashMap<String, FxHashMap<u32, u64>>,
 }
 
 /// Bytes a wrap saved by eliding cached components and by shipping a
@@ -99,15 +100,15 @@ pub(crate) fn wrap(world: &mut Middleware, cargo: &mut Cargo) -> Savings {
     }
 
     let snapshot = &cargo.snapshot;
-    let key = (dest.0, snapshot.app_name.clone());
-    if let Some(delta) = data_path
+    if let Some((delta, full_len)) = data_path
         .snapshot_bases
-        .get(&key)
+        .get(&snapshot.app_name)
+        .and_then(|bases| bases.get(&dest.0))
         .and_then(|base| snapshots.delta(&snapshot.app_name, *base, snapshot.sequence))
     {
         let header = snapshot.header();
         let delta_len = (delta.encoded_len() + header.encoded_len()) as u64;
-        let full_len = snapshot.encoded_len() as u64;
+        let full_len = full_len as u64;
         if delta_len < full_len {
             saved.delta = full_len - delta_len;
             cargo.snapshot_delta = Some(delta);
@@ -223,8 +224,15 @@ impl DataPath {
                 cache.touch(*digest);
             }
         }
-        self.snapshot_bases
-            .insert((dest.0, snapshot.app_name.clone()), snapshot.sequence);
+        // Only an app's first arrival allocates its key.
+        let bases = match self.snapshot_bases.get_mut(&snapshot.app_name) {
+            Some(bases) => bases,
+            None => self
+                .snapshot_bases
+                .entry(snapshot.app_name.clone())
+                .or_default(),
+        };
+        bases.insert(dest.0, snapshot.sequence);
     }
 }
 

@@ -82,7 +82,9 @@ pub struct Middleware {
     space_primary: FxHashMap<SpaceId, HostId>,
     subscriber_agents: FxHashMap<SubscriberId, AgentId>,
     host_clocks: FxHashMap<HostId, HostClock>,
-    preinstalled: FxHashMap<(u32, String), ComponentSet>,
+    /// Preinstalled components per app name, then host (raw id): keyed by
+    /// name first, so a lookup borrows the name.
+    preinstalled: FxHashMap<String, FxHashMap<u32, ComponentSet>>,
     pub(crate) in_flight: FxHashMap<AgentId, InFlight>,
     /// Opt-in observability pipeline configuration.
     pub(crate) observability: ObservabilityOptions,
@@ -617,8 +619,11 @@ impl Middleware {
         self.federation
             .add_center(space)
             .register_application(record);
-        self.preinstalled
-            .insert((host.0, app_name.to_owned()), components);
+        let hosts = match self.preinstalled.get_mut(app_name) {
+            Some(hosts) => hosts,
+            None => self.preinstalled.entry(app_name.to_owned()).or_default(),
+        };
+        hosts.insert(host.0, components);
         Ok(())
     }
 
@@ -699,7 +704,8 @@ impl Middleware {
     /// Components of `app_name` preinstalled on `host` (empty default).
     pub fn preinstalled_components(&self, host: HostId, app_name: &str) -> ComponentSet {
         self.preinstalled
-            .get(&(host.0, app_name.to_owned()))
+            .get(app_name)
+            .and_then(|hosts| hosts.get(&host.0))
             .cloned()
             .unwrap_or_default()
     }

@@ -123,6 +123,12 @@ impl Retained {
     fn encoding(&self) -> &Encoding {
         self.encoding.get_or_init(|| Encoding::of(&self.snapshot))
     }
+
+    /// The snapshot's exact wire length, read from the stored encoding:
+    /// the zeroed sequence's varint swapped back for the real one.
+    fn encoded_len(&self) -> usize {
+        self.encoding().normalized.len() - 0u64.encoded_len() + self.snapshot.sequence.encoded_len()
+    }
 }
 
 impl SnapshotDelta {
@@ -248,7 +254,11 @@ impl SnapshotManager {
             profile_bytes: to_bytes(&app.user_profile),
             sequence: self.sequence,
         };
-        let entry = self.history.entry(app.name.clone()).or_default();
+        // Only an app's first capture allocates its history key.
+        let entry = match self.history.get_mut(&app.name) {
+            Some(entry) => entry,
+            None => self.history.entry(app.name.clone()).or_default(),
+        };
         if entry.len() == self.capacity {
             entry.remove(0);
         }
@@ -311,16 +321,18 @@ impl SnapshotManager {
 
     /// The delta of retained snapshot `sequence` of an app against its
     /// retained snapshot `base_sequence`, diffed from their stored
-    /// encodings. `None` unless both are retained.
+    /// encodings, with the exact wire length of the full snapshot it
+    /// stands for, read from the same encoding. `None` unless both are
+    /// retained.
     pub fn delta(
         &self,
         app_name: &str,
         base_sequence: u64,
         sequence: u64,
-    ) -> Option<SnapshotDelta> {
+    ) -> Option<(SnapshotDelta, usize)> {
         let base = self.entry(app_name, base_sequence)?;
         let next = self.entry(app_name, sequence)?;
-        SnapshotDelta::between(base, next)
+        Some((SnapshotDelta::between(base, next)?, next.encoded_len()))
     }
 
     /// The snapshot a delta stands for, resolved against the snapshots
@@ -352,6 +364,7 @@ mod tests {
     use mdagent_context::UserId;
     use mdagent_simnet::HostId;
     use mdagent_wire::digest_of;
+    use std::rc::Rc;
 
     fn app() -> Application {
         let mut app = Application::new(AppId(0), "player", HostId(0));
@@ -363,7 +376,9 @@ mod tests {
 
     /// The delta between two retained snapshots of the test app.
     fn delta(mgr: &SnapshotManager, base: &Snapshot, next: &Snapshot) -> SnapshotDelta {
-        mgr.delta("player", base.sequence, next.sequence).unwrap()
+        let (delta, full_len) = mgr.delta("player", base.sequence, next.sequence).unwrap();
+        assert_eq!(full_len, next.encoded_len());
+        delta
     }
 
     #[test]
@@ -398,7 +413,63 @@ mod tests {
 
     /// Whether two coordinators hold `key`'s value in one shared string.
     fn shares(a: &Coordinator, b: &Coordinator, key: &str) -> bool {
-        std::sync::Arc::ptr_eq(&a.state_map()[key], &b.state_map()[key])
+        Rc::ptr_eq(&a.state_map()[key], &b.state_map()[key])
+    }
+
+    /// Whether two coordinators share one state map.
+    fn shares_map(a: &Coordinator, b: &Coordinator) -> bool {
+        Rc::ptr_eq(a.shared_state(), b.shared_state())
+    }
+
+    #[test]
+    fn a_capture_shares_the_live_map_until_one_write_copies_it() {
+        let mut mgr = SnapshotManager::new(4);
+        let mut live = app();
+        let snap = mgr.capture(&live);
+        let retained = &mgr.latest("player").unwrap().coordinator;
+        assert!(shares_map(&snap.coordinator, &live.coordinator));
+        assert!(shares_map(retained, &live.coordinator));
+        let captured = Rc::as_ptr(live.coordinator.shared_state());
+        assert_eq!(Rc::strong_count(live.coordinator.shared_state()), 3);
+
+        // The first write copies the map once, away from both copies ...
+        live.coordinator.set_state("position-ms", "93000");
+        let copied = Rc::as_ptr(live.coordinator.shared_state());
+        assert_ne!(copied, captured);
+        assert_eq!(Rc::strong_count(live.coordinator.shared_state()), 1);
+        let retained = &mgr.latest("player").unwrap().coordinator;
+        assert!(shares_map(&snap.coordinator, retained));
+        assert_eq!(Rc::as_ptr(retained.shared_state()), captured);
+        assert_eq!(retained.state("position-ms"), Some("92000"));
+        // ... and later writes, local or remote, copy nothing more.
+        live.coordinator.set_state("track", "toccata.mp3");
+        let next_version = live.coordinator.version() + 1;
+        assert!(live.coordinator.apply_remote("volume", "11", next_version));
+        assert_eq!(Rc::as_ptr(live.coordinator.shared_state()), copied);
+        assert_eq!(snap.coordinator.state("track"), Some("prelude.mp3"));
+        assert_eq!(snap.coordinator.state("volume"), None);
+    }
+
+    #[test]
+    fn restores_and_checked_checkins_share_the_retained_map() {
+        let mut mgr = SnapshotManager::new(4);
+        let mut a = app();
+        let base = mgr.capture(&a);
+        a.coordinator.set_state("position-ms", "184000");
+        let next = mgr.capture(&a);
+        let retained = mgr.by_sequence("player", next.sequence).unwrap();
+
+        let checked = mgr.resolve(&delta(&mgr, &base, &next)).unwrap();
+        assert_eq!(checked, next);
+        assert!(shares_map(&checked.coordinator, &retained.coordinator));
+
+        let mut rolled_back = Application::new(AppId(1), "player", HostId(1));
+        SnapshotManager::restore(retained, &mut rolled_back).unwrap();
+        assert!(shares_map(&rolled_back.coordinator, &retained.coordinator));
+        let mut moved = Application::new(AppId(2), "player", HostId(1));
+        let mut checked = checked;
+        SnapshotManager::restore_by_move(&mut checked, &mut moved).unwrap();
+        assert!(shares_map(&moved.coordinator, &retained.coordinator));
     }
 
     #[test]
@@ -520,6 +591,8 @@ mod tests {
             let encoding = Encoding::of(&snap);
             assert_eq!(encoding.normalized, to_bytes(&zeroed));
             assert_eq!(encoding.digest, digest_of(&snap).as_u64());
+            let retained = mgr.entry("player", snap.sequence).unwrap();
+            assert_eq!(retained.encoded_len(), snap.encoded_len());
         }
     }
 

@@ -1,13 +1,18 @@
 //! Property tests of the middleware's migration invariants: applications
 //! are never lost, state survives arbitrary follow-me chains, replica
-//! synchronization converges, and phase timings are sane.
+//! synchronization converges, phase timings are sane, and copies of an
+//! application's state never see each other's writes.
+
+use std::collections::BTreeMap;
 
 use mdagent_context::UserId;
 use mdagent_core::{
-    AppState, BindingPolicy, Component, ComponentKind, ComponentSet, DeviceProfile, Middleware,
-    MobilityMode, UserProfile,
+    AppId, AppState, Application, BindingPolicy, Component, ComponentKind, ComponentSet,
+    Coordinator, DeviceProfile, Middleware, MobilityMode, ObserverRec, Snapshot, SnapshotManager,
+    UserProfile,
 };
 use mdagent_simnet::{CpuFactor, HostId, SimDuration, Simulator};
+use mdagent_wire::{impl_wire_struct, to_bytes};
 use proptest::prelude::*;
 
 /// A fully connected four-host, four-space world.
@@ -173,5 +178,156 @@ proptest! {
             world.migration_log()[0].phases.total()
         };
         prop_assert!(run(small) <= run(small + extra));
+    }
+}
+
+/// A coordinator as the model keeps it: every field an owned, unshared
+/// value, in the coordinator's wire order, so a clone is a deep copy and
+/// the encoding is the one the coordinator must produce.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Model {
+    state: BTreeMap<String, String>,
+    version: u64,
+    observers: Vec<ObserverRec>,
+    sync_links: Vec<u32>,
+}
+
+impl_wire_struct!(Model {
+    state,
+    version,
+    observers,
+    sync_links
+});
+
+impl Model {
+    fn set(&mut self, key: &str, value: &str) {
+        self.state.insert(key.to_owned(), value.to_owned());
+        self.version += 1;
+    }
+
+    fn apply_remote(&mut self, key: &str, value: &str, version: u64) {
+        if version > self.version {
+            self.state.insert(key.to_owned(), value.to_owned());
+            self.version = version;
+        }
+    }
+
+    fn link(&mut self, app: u32) {
+        if !self.sync_links.contains(&app) {
+            self.sync_links.push(app);
+        }
+    }
+}
+
+/// Values on both sides of the one-byte length prefix, and wide text.
+fn state_value(index: u8) -> String {
+    match index % 5 {
+        0 => String::new(),
+        1 => "92000".to_owned(),
+        2 => "é∞🎵".to_owned(),
+        3 => "p".repeat(127),
+        _ => "q".repeat(130),
+    }
+}
+
+/// `coordinator` holds exactly what `model` does.
+fn assert_matches(coordinator: &Coordinator, model: &Model, what: &str) {
+    let state: BTreeMap<String, String> = coordinator
+        .state_map()
+        .iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    assert_eq!(state, model.state, "{what}: state");
+    assert_eq!(coordinator.version(), model.version, "{what}: version");
+    assert_eq!(to_bytes(coordinator), to_bytes(model), "{what}: bytes");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Live applications, the captures a test holds as cargo does, and the
+    /// snapshots the manager retains share state maps in every way a
+    /// migration shares them: captures and history entries, rollback
+    /// restores, restores by move of a copy of a capture (a checked
+    /// check-in), and clone-dispatch replicas. After every step each copy
+    /// still holds exactly what a deep-copied model of it holds, so none
+    /// saw a write made to another.
+    #[test]
+    fn copies_of_state_never_see_each_others_writes(
+        steps in proptest::collection::vec((0u8..7, 0usize..64, 0u8..6, 0u8..10), 1..48),
+    ) {
+        let mut mgr = SnapshotManager::new(3);
+        let mut live: Vec<(Application, Model)> = (0..3u32)
+            .map(|i| (Application::new(AppId(i), "player", HostId(i)), Model::default()))
+            .collect();
+        let mut held: Vec<(Snapshot, Model)> = Vec::new();
+        for (op, pick, key, arg) in steps {
+            let copy = pick % live.len();
+            let key = format!("k{key}");
+            let (app, model) = &mut live[copy];
+            match op {
+                0 | 1 => {
+                    let value = state_value(arg);
+                    app.coordinator.set_state(&key, &value);
+                    model.set(&key, &value);
+                }
+                // A remote update two versions behind to two ahead: the
+                // first three are stale and write nothing.
+                2 => {
+                    let value = state_value(arg);
+                    let version = (model.version + u64::from(arg % 5)).saturating_sub(2);
+                    let applied = app.coordinator.apply_remote(&key, &value, version);
+                    prop_assert_eq!(applied, version > model.version);
+                    model.apply_remote(&key, &value, version);
+                }
+                3 => {
+                    let snap = mgr.capture(app);
+                    held.push((snap, model.clone()));
+                }
+                // A rollback restores the manager's retained snapshot when
+                // it still has it, else the held capture.
+                4 if !held.is_empty() => {
+                    let (snap, captured) = &held[usize::from(arg) % held.len()];
+                    let source = mgr.by_sequence("player", snap.sequence).unwrap_or(snap);
+                    SnapshotManager::restore(source, app).unwrap();
+                    *model = captured.clone();
+                }
+                // A check-in deploys a copy of a capture by move.
+                5 if !held.is_empty() => {
+                    let (snap, captured) = &held[usize::from(arg) % held.len()];
+                    let mut shipped = snap.clone();
+                    SnapshotManager::restore_by_move(&mut shipped, app).unwrap();
+                    prop_assert_eq!(&shipped, &snap.header());
+                    *model = captured.clone();
+                }
+                // A clone-dispatch replica: a fresh capture of the copy,
+                // installed by move, linked both ways.
+                6 => {
+                    let mut snap = mgr.capture(app);
+                    held.push((snap.clone(), model.clone()));
+                    let replica_id = AppId(live.len() as u32);
+                    let mut replica = Application::new(replica_id, "player", HostId(9));
+                    SnapshotManager::restore_by_move(&mut snap, &mut replica).unwrap();
+                    let mut replica_model = live[copy].1.clone();
+                    replica.coordinator.add_sync_link(AppId(copy as u32));
+                    replica_model.link(copy as u32);
+                    let (source, source_model) = &mut live[copy];
+                    source.coordinator.add_sync_link(replica_id);
+                    source_model.link(replica_id.0);
+                    live.push((replica, replica_model));
+                }
+                _ => {}
+            }
+            for (i, (app, model)) in live.iter().enumerate() {
+                assert_matches(&app.coordinator, model, &format!("live copy {i}"));
+            }
+            for (snap, model) in &held {
+                assert_matches(&snap.coordinator, model, &format!("capture {}", snap.sequence));
+                if let Some(retained) = mgr.by_sequence("player", snap.sequence) {
+                    prop_assert_eq!(retained, snap);
+                    assert_matches(&retained.coordinator, model, "retained capture");
+                }
+            }
+        }
     }
 }

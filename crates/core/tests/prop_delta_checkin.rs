@@ -96,9 +96,10 @@ proptest! {
         let base = sender.capture(&player(&base_entries));
         let target = sender.capture(&player(&target_entries));
         let other = sender.capture(&player(&other_entries));
-        let delta = sender
+        let (delta, full_len) = sender
             .delta("player", base.sequence, target.sequence)
             .unwrap();
+        prop_assert_eq!(full_len, mdagent_wire::to_bytes(&target).len());
 
         let decoded = delta.apply(&base).unwrap();
         prop_assert_eq!(&decoded, &target);

@@ -2,6 +2,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use bytes::{BufMut, BytesMut};
@@ -215,7 +216,7 @@ impl Wire for String {
 
 /// A shared string: exactly the bytes of a `String` with the same text, so
 /// either type decodes the other's encoding. Cloning shares the text.
-impl Wire for Arc<str> {
+impl Wire for Rc<str> {
     fn encode(&self, buf: &mut BytesMut) {
         put_varint(buf, self.len() as u64);
         buf.put_slice(self.as_bytes());
@@ -224,7 +225,7 @@ impl Wire for Arc<str> {
         let len = reader.take_len()?;
         let bytes = reader.take(len)?;
         std::str::from_utf8(bytes)
-            .map(Arc::from)
+            .map(Rc::from)
             .map_err(|_| WireError::InvalidUtf8)
     }
     fn encoded_len(&self) -> usize {
@@ -283,6 +284,20 @@ impl<T: Wire> Wire for Box<T> {
     }
     fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
         T::decode(reader).map(Box::new)
+    }
+    fn encoded_len(&self) -> usize {
+        (**self).encoded_len()
+    }
+}
+
+/// A shared value: exactly the bytes of the value itself. Cloning shares
+/// it; decoding yields a fresh, unshared one.
+impl<T: Wire> Wire for Rc<T> {
+    fn encode(&self, buf: &mut BytesMut) {
+        (**self).encode(buf);
+    }
+    fn decode(reader: &mut Reader<'_>) -> Result<Self, WireError> {
+        T::decode(reader).map(Rc::new)
     }
     fn encoded_len(&self) -> usize {
         (**self).encoded_len()
@@ -553,13 +568,14 @@ mod tests {
     fn container_roundtrips() {
         roundtrip(String::from("hello pervasive world"));
         roundtrip(String::new());
-        roundtrip(Arc::<str>::from("shared ∞ text"));
-        roundtrip(Arc::<str>::from(""));
+        roundtrip(Rc::<str>::from("shared ∞ text"));
+        roundtrip(Rc::<str>::from(""));
         roundtrip(vec![1u32, 2, 3]);
         roundtrip(Vec::<u32>::new());
         roundtrip(Some(7u8));
         roundtrip(Option::<u8>::None);
         roundtrip(Box::new(9u16));
+        roundtrip(Rc::new(vec![4u16, 5]));
         roundtrip(("key".to_string(), 5u32));
         roundtrip(("a".to_string(), 1u8, true));
         roundtrip(Blob::from(vec![9, 8, 7]));

@@ -2,7 +2,7 @@
 //! `encoded_len` always tells the truth.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use mdagent_wire::{from_bytes, to_bytes, Blob, Wire, WireError};
 use proptest::prelude::*;
@@ -14,9 +14,10 @@ fn assert_roundtrip<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
     assert_eq!(&back, value);
 }
 
-/// A coordinator's state map as it was, and as it is now.
+/// A coordinator's state map as it was, and as it is now: one shared map
+/// of shared strings.
 type OwnedMap = BTreeMap<String, String>;
-type SharedMap = BTreeMap<Arc<str>, Arc<str>>;
+type SharedMap = Rc<BTreeMap<Rc<str>, Rc<str>>>;
 
 /// Byte lengths of generated keys and values: empty, short, and both sides
 /// of the one-byte varint boundary at 127/128.
@@ -57,9 +58,11 @@ fn state_maps() -> impl Strategy<Value = OwnedMap> {
 }
 
 fn shared(map: &OwnedMap) -> SharedMap {
-    map.iter()
-        .map(|(k, v)| (Arc::from(k.as_str()), Arc::from(v.as_str())))
-        .collect()
+    Rc::new(
+        map.iter()
+            .map(|(k, v)| (Rc::from(k.as_str()), Rc::from(v.as_str())))
+            .collect(),
+    )
 }
 
 /// Decodes `bytes` as both map types; the results must agree entry for
@@ -155,7 +158,7 @@ proptest! {
     #[test]
     fn shared_str_decodes_as_string_does(bytes in proptest::collection::vec(any::<u8>(), 0..160)) {
         let owned = from_bytes::<String>(&bytes);
-        prop_assert_eq!(owned.map(Arc::<str>::from), from_bytes::<Arc<str>>(&bytes));
+        prop_assert_eq!(owned.map(Rc::<str>::from), from_bytes::<Rc<str>>(&bytes));
     }
 
     #[test]
