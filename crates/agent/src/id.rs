@@ -36,7 +36,6 @@ impl Wire for ContainerId {
 ///
 /// let id = AgentId::new("ma-player", "mdagent");
 /// assert_eq!(id.to_string(), "ma-player@mdagent");
-/// assert_eq!(id.local_name(), "ma-player");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AgentId {
@@ -51,11 +50,6 @@ impl AgentId {
             local: local.into(),
             platform: platform.into(),
         }
-    }
-
-    /// The local (per-platform) name.
-    pub fn local_name(&self) -> &str {
-        &self.local
     }
 
     /// Derives the name used for the `n`-th clone of this agent.
@@ -83,7 +77,7 @@ mod tests {
     #[test]
     fn display_and_accessors() {
         let id = AgentId::new("aa-1", "mdagent");
-        assert_eq!(id.local_name(), "aa-1");
+        assert_eq!(id.local, "aa-1");
         assert_eq!(format!("{id}"), "aa-1@mdagent");
         assert_eq!(ContainerId(3).to_string(), "container-3");
     }
@@ -93,7 +87,7 @@ mod tests {
         let id = AgentId::new("ma", "p");
         assert_ne!(id.clone_name(0), id.clone_name(1));
         assert_ne!(id.clone_name(0), id);
-        assert_eq!(id.clone_name(2).local_name(), "ma#clone2");
+        assert_eq!(id.clone_name(2).local, "ma#clone2");
     }
 
     #[test]

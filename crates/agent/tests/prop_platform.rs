@@ -12,7 +12,7 @@ use proptest::prelude::*;
 struct World {
     platform: Platform<World>,
     env: PlatformEnv,
-    received: Vec<(String, u64)>,
+    received: Vec<(AgentId, u64)>,
 }
 
 impl PlatformHost for World {
@@ -45,9 +45,7 @@ impl Agent<World> for Counter {
     }
     fn on_message(&mut self, msg: &AclMessage, cx: Cx<'_, World>) {
         self.seen += 1;
-        cx.world
-            .received
-            .push((cx.id.local_name().to_owned(), msg.conversation_id));
+        cx.world.received.push((cx.id.clone(), msg.conversation_id));
     }
     fn on_start(&mut self, _journey: Journey, _cx: Cx<'_, World>) {}
 }
@@ -215,7 +213,7 @@ proptest! {
         }
         prop_assert_eq!(w.platform.agent_state(&a), Some(LifecycleState::Active));
         prop_assert_eq!(w.platform.container_of(&a), Some(last));
-        let walker_mail = w.received.iter().filter(|(name, _)| name == "walker").count() as u64;
+        let walker_mail = w.received.iter().filter(|(id, _)| *id == a).count() as u64;
         prop_assert_eq!(walker_mail, expected_mail, "mail lost or duplicated across moves");
     }
 }

@@ -132,10 +132,9 @@ fn queue_mode(
             );
         }
     }
-    sim.set_event_limit(Some(budget));
     let mut acc = 0u64;
     let start = Instant::now();
-    sim.run(&mut acc);
+    while sim.executed() < budget && sim.step(&mut acc) {}
     let wall = start.elapsed().as_secs_f64();
     QueueMode {
         label,

@@ -69,11 +69,13 @@ impl ContextDb {
     }
 
     /// Total retained entries across topics.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.entries.values().map(VecDeque::len).sum()
     }
 
     /// Whether the database holds nothing.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

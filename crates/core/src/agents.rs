@@ -119,11 +119,6 @@ impl MobileAgent {
         }
     }
 
-    /// The managed application.
-    pub fn app(&self) -> AppId {
-        AppId(self.app_raw)
-    }
-
     /// Dispatches the cargo currently held: moves (follow-me) or clones
     /// the agent toward the plan's destination. Shared by the initial
     /// CARGO hand-off and the watchdog's RETRY nudge.
@@ -672,7 +667,6 @@ mod tests {
         let ma = MobileAgent::new(AppId(3));
         let back: MobileAgent = mdagent_wire::from_bytes(&to_bytes(&ma)).unwrap();
         assert_eq!(back, ma);
-        assert_eq!(back.app(), AppId(3));
 
         let aa = AutonomousAgent::new(UserId(1), AppId(3), BindingPolicy::Adaptive);
         let back: AutonomousAgent = mdagent_wire::from_bytes(&to_bytes(&aa)).unwrap();

@@ -84,11 +84,6 @@ impl Component {
         Component::new(name.into(), kind, Blob::zeroed(size))
     }
 
-    /// Creates a component around real bytes.
-    pub fn with_payload(name: impl Into<String>, kind: ComponentKind, payload: Vec<u8>) -> Self {
-        Component::new(name.into(), kind, Blob::from(payload))
-    }
-
     fn new(name: String, kind: ComponentKind, payload: Blob) -> Self {
         Component {
             name,
@@ -106,11 +101,6 @@ impl Component {
     /// What kind of component this is.
     pub fn kind(&self) -> ComponentKind {
         self.kind
-    }
-
-    /// The serialized body; its length drives migration cost.
-    pub fn payload(&self) -> &Blob {
-        &self.payload
     }
 
     /// Payload size in bytes.
@@ -145,13 +135,8 @@ impl ComponentSet {
         self.components.push(component);
     }
 
-    /// Removes a component by name.
-    pub fn remove(&mut self, name: &str) -> Option<Component> {
-        let idx = self.components.iter().position(|c| c.name == name)?;
-        Some(self.components.remove(idx))
-    }
-
     /// Looks up a component by name.
+    #[cfg(test)]
     pub fn get(&self, name: &str) -> Option<&Component> {
         self.components.iter().find(|c| c.name == name)
     }
@@ -172,6 +157,7 @@ impl ComponentSet {
     }
 
     /// Number of components.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.components.len()
     }
@@ -275,14 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_component() {
-        let mut s = set();
-        assert!(s.remove("ui").is_some());
-        assert!(s.remove("ui").is_none());
-        assert_eq!(s.len(), 2);
-    }
-
-    #[test]
     fn wire_roundtrip_and_size() {
         let s = set();
         let bytes = to_bytes(&s);
@@ -298,7 +276,11 @@ mod tests {
     fn digest_is_the_digest_of_the_component() {
         let synthetic = Component::synthetic("codec", ComponentKind::Logic, 180_000);
         assert_eq!(synthetic.digest(), digest_of(&synthetic));
-        let real = Component::with_payload("ui", ComponentKind::Presentation, vec![1, 2, 3]);
+        let real = Component::new(
+            "ui".into(),
+            ComponentKind::Presentation,
+            Blob::from(vec![1, 2, 3]),
+        );
         assert_eq!(real.digest(), digest_of(&real));
         assert_ne!(real.digest(), synthetic.digest());
         // A clone taken before the first digest computes the same value.
@@ -316,14 +298,14 @@ mod tests {
         let original = Component::synthetic("codec", ComponentKind::Logic, 180_000);
         let clone = original.clone();
         assert_eq!(
-            clone.payload().as_slice().as_ptr(),
-            original.payload().as_slice().as_ptr()
+            clone.payload.as_slice().as_ptr(),
+            original.payload.as_slice().as_ptr()
         );
         let s = set();
         let shipped = s.subset(&["codec".into()]);
         assert_eq!(
-            shipped.get("codec").unwrap().payload().as_slice().as_ptr(),
-            s.get("codec").unwrap().payload().as_slice().as_ptr()
+            shipped.get("codec").unwrap().payload.as_slice().as_ptr(),
+            s.get("codec").unwrap().payload.as_slice().as_ptr()
         );
     }
 

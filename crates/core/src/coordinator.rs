@@ -142,11 +142,6 @@ impl Coordinator {
         }
     }
 
-    /// Registered observer names.
-    pub fn observers(&self) -> Vec<&str> {
-        self.observers.iter().map(|o| o.name.as_str()).collect()
-    }
-
     /// Adds a synchronization link to a replica application.
     pub fn add_sync_link(&mut self, app: AppId) {
         if !self.sync_links_raw.contains(&app.0) {
@@ -178,7 +173,7 @@ mod tests {
         c.register_observer("a");
         c.register_observer("b");
         c.register_observer("a"); // idempotent
-        assert_eq!(c.observers().len(), 2);
+        assert_eq!(c.observers.len(), 2);
         let v1 = c.set_state("k", "1");
         assert_eq!(c.stale_observers(), vec!["a".to_string(), "b".to_string()]);
         c.mark_seen("a", v1);

@@ -36,11 +36,6 @@ pub struct ComponentCache {
 }
 
 impl ComponentCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        ComponentCache::default()
-    }
-
     /// Whether the cache holds content with this digest.
     pub fn contains(&self, digest: u64) -> bool {
         self.entries.iter().any(|(d, _)| *d == digest)
@@ -90,11 +85,13 @@ impl ComponentCache {
     }
 
     /// Number of cached entries.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
     /// Whether the cache is empty.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -118,7 +115,7 @@ mod tests {
 
     #[test]
     fn insert_contains_touch() {
-        let mut c = ComponentCache::new();
+        let mut c = ComponentCache::default();
         assert!(c.is_empty());
         c.insert(1, 100, 1000);
         c.insert(2, 200, 1000);
@@ -134,7 +131,7 @@ mod tests {
 
     #[test]
     fn evicts_least_recently_used_first() {
-        let mut c = ComponentCache::new();
+        let mut c = ComponentCache::default();
         c.insert(1, 400, 1000);
         c.insert(2, 400, 1000);
         c.touch(1); // 2 is now the LRU entry.
@@ -149,7 +146,7 @@ mod tests {
         // A full cache re-inserting one of its own residents must not
         // count that resident's bytes twice against the budget — which
         // would spuriously evict the other entries.
-        let mut c = ComponentCache::new();
+        let mut c = ComponentCache::default();
         c.insert(1, 600, 1000);
         c.insert(2, 400, 1000); // exactly at capacity
         for _ in 0..10 {
@@ -171,7 +168,7 @@ mod tests {
         // Re-insert runs the same admission path as a fresh insert: an
         // entry re-offered under a now-smaller budget is dropped rather
         // than silently retained past the cap.
-        let mut c = ComponentCache::new();
+        let mut c = ComponentCache::default();
         c.insert(1, 400, 1000);
         c.insert(1, 400, 300);
         assert!(!c.contains(1));
@@ -180,7 +177,7 @@ mod tests {
 
     #[test]
     fn oversized_entries_are_not_cached() {
-        let mut c = ComponentCache::new();
+        let mut c = ComponentCache::default();
         c.insert(1, 100, 1000);
         c.insert(9, 5000, 1000);
         assert!(!c.contains(9));
@@ -192,7 +189,7 @@ mod tests {
         // Same operation sequence, same final state — the cache is a Vec,
         // not a hash map, so iteration and eviction order are fixed.
         let run = || {
-            let mut c = ComponentCache::new();
+            let mut c = ComponentCache::default();
             for d in 0..20u64 {
                 c.insert(d, 128, 512);
                 if d % 3 == 0 {

@@ -469,11 +469,6 @@ impl Middleware {
         &self.env.metrics
     }
 
-    /// The network fault injector.
-    pub fn faults(&self) -> &FaultInjector {
-        &self.env.faults
-    }
-
     /// Mutable fault-injector access (schedule outages mid-run).
     pub fn faults_mut(&mut self) -> &mut FaultInjector {
         &mut self.env.faults
@@ -657,10 +652,9 @@ impl Middleware {
     /// with expiries gets one incremental repair and one `aa.retract`
     /// span. Returns the number of records expired.
     ///
-    /// A lease expiring exactly at `now` is already lapsed — the same
-    /// endpoint-exclusive boundary lease-aware lookups
-    /// ([`RegistryFederation::find_resources_at`]) apply, so the sweep and
-    /// a lookup at the same instant never disagree about liveness.
+    /// A lease expiring exactly at `now` is already lapsed: the sweep
+    /// applies `ResourceRecord::lease_active`'s endpoint-exclusive
+    /// boundary.
     // mdlint::entry
     pub fn expire_resource_leases(&mut self, now: SimTime) -> usize {
         let mut expired = 0;

@@ -137,11 +137,6 @@ impl DeviceProfile {
         }
     }
 
-    /// The host this profile describes.
-    pub fn host(&self) -> HostId {
-        HostId(self.host_raw)
-    }
-
     /// Checks a `key=value` requirement (numeric keys compare `>=`).
     pub fn satisfies(&self, key: &str, value: &str) -> bool {
         match key {
@@ -203,7 +198,7 @@ mod tests {
         let pda = DeviceProfile::handheld(HostId(1));
         let area = |p: &DeviceProfile| u64::from(p.screen_width) * u64::from(p.screen_height);
         assert!(area(&pc) > area(&pda));
-        assert_eq!(pda.host(), HostId(1));
+        assert_eq!(pda.host_raw, 1);
         let back: DeviceProfile = from_bytes(&to_bytes(&pda)).unwrap();
         assert_eq!(back, pda);
     }

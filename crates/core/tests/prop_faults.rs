@@ -240,7 +240,7 @@ fn retry_path_is_traced() {
         let retries = world.metrics().counter("migration.retries");
         if world.metrics().counter("migration.completed") == 1 && drops > 0 {
             assert!(retries >= drops, "each drop is answered by a retry");
-            assert!(world.trace().contains("retry attempt"));
+            assert!(world.trace().check_sequence(&["retry attempt"]).is_ok());
             assert_eq!(world.apps().next().unwrap().host, dest);
             return;
         }
@@ -267,7 +267,7 @@ fn exhausted_retries_roll_back_with_resume() {
         let (world, src, dest) = run_one(seed, 0.55);
         assert_invariants(&world, src, dest);
         if world.metrics().counter("migration.rollbacks") == 1 {
-            assert!(world.trace().contains("ABORTED"));
+            assert!(world.trace().check_sequence(&["ABORTED"]).is_ok());
             assert_eq!(world.apps().next().unwrap().host, src);
             assert_eq!(world.apps().next().unwrap().state, AppState::Running);
             let stats = world

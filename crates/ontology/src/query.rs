@@ -85,15 +85,6 @@ impl Row {
     pub fn get_var(&self, var: crate::triple::VarId) -> Option<Term> {
         self.values.get(var.0 as usize).copied().flatten()
     }
-
-    /// All `(name, term)` pairs with bound values.
-    pub fn bindings(&self) -> impl Iterator<Item = (&str, Term)> {
-        self.schema
-            .names
-            .iter()
-            .zip(&self.values)
-            .filter_map(|(n, v)| v.map(|t| (n.as_str(), t)))
-    }
 }
 
 impl Query {
@@ -132,6 +123,7 @@ impl Query {
     }
 
     /// The variable names, in first-mention order.
+    #[cfg(test)]
     pub fn var_names(&self) -> &[String] {
         &self.rule.var_names
     }
@@ -275,16 +267,6 @@ mod tests {
         assert_eq!(rows[0].get("zebra"), g.try_iri("ex:s"));
         assert_eq!(rows[0].get("apple"), g.try_iri("ex:zz-val"));
         assert_eq!(rows[0].get("mango"), g.try_iri("ex:aa-val"));
-    }
-
-    #[test]
-    fn row_bindings_iterate() {
-        let mut g = sample();
-        let q = Query::parse("(?x imcl:locatedIn imcl:Office821)", &mut g).unwrap();
-        let rows = q.solve(g.store());
-        let pairs: Vec<_> = rows[0].bindings().collect();
-        assert_eq!(pairs.len(), 1);
-        assert_eq!(pairs[0].0, "x");
     }
 
     #[test]

@@ -257,11 +257,6 @@ impl Reasoner {
         self.occurrences = None;
     }
 
-    /// The current rule set.
-    pub fn rules(&self) -> &[Rule] {
-        &self.rules
-    }
-
     /// Profiling counters from the most recent [`Reasoner::materialize`]
     /// or [`Reasoner::materialize_incremental`] run. The naive reference
     /// evaluator does not update these.

@@ -42,7 +42,7 @@ const EMPTY_POSTING: &[Term] = &[];
 /// ```
 /// use mdagent_ontology::{Interner, Store, Term, Triple};
 ///
-/// let mut interner = Interner::new();
+/// let mut interner = Interner::default();
 /// let mut store = Store::new();
 /// let s = Term::Iri(interner.intern("imcl:hpLaserJet"));
 /// let p = Term::Iri(interner.intern("rdf:type"));

@@ -17,7 +17,7 @@ pub struct SymbolId(pub(crate) u32);
 /// ```
 /// use mdagent_ontology::Interner;
 ///
-/// let mut interner = Interner::new();
+/// let mut interner = Interner::default();
 /// let a = interner.intern("imcl:Printer");
 /// let b = interner.intern("imcl:Printer");
 /// assert_eq!(a, b);
@@ -31,6 +31,7 @@ pub struct Interner {
 
 impl Interner {
     /// Creates an empty interner.
+    #[cfg(test)]
     pub fn new() -> Self {
         Self::default()
     }
@@ -61,11 +62,13 @@ impl Interner {
     }
 
     /// Number of distinct interned strings.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.strings.len()
     }
 
     /// Whether nothing has been interned.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.strings.is_empty()
     }

@@ -106,6 +106,7 @@ pub struct TriplePattern {
 
 impl TriplePattern {
     /// Creates a pattern.
+    #[cfg(test)]
     pub fn new(
         s: impl Into<PatternTerm>,
         p: impl Into<PatternTerm>,

@@ -70,10 +70,6 @@ pub struct RegistryCenter {
     retraction_flushes: usize,
     /// Base facts retracted through the queue (requested, not net removed).
     retracted_facts: usize,
-    /// Semantic-match profiling for the last [`RegistryCenter::find_resources`].
-    last_lookup: LookupStats,
-    /// Semantic-match profiling accumulated over all lookups.
-    total_lookups: LookupStats,
 }
 
 /// One entry of the signed pending-delta queue: a fact asserted or
@@ -85,16 +81,6 @@ enum PendingDelta {
     /// The fact awaits removal; the store keeps it until the flush so the
     /// closure stays consistent between lookups.
     Retract(Triple),
-}
-
-/// Candidate/hit counters for semantic resource matching.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LookupStats {
-    /// Resource records scanned as match candidates.
-    pub candidates: usize,
-    /// Candidates that matched (exactly, by subsumption, or by
-    /// substitution).
-    pub hits: usize,
 }
 
 impl RegistryCenter {
@@ -114,19 +100,7 @@ impl RegistryCenter {
             incremental_materializations: 0,
             retraction_flushes: 0,
             retracted_facts: 0,
-            last_lookup: LookupStats::default(),
-            total_lookups: LookupStats::default(),
         }
-    }
-
-    /// Candidate/hit counters from the most recent semantic lookup.
-    pub fn last_lookup(&self) -> LookupStats {
-        self.last_lookup
-    }
-
-    /// Candidate/hit counters accumulated over every semantic lookup.
-    pub fn total_lookups(&self) -> LookupStats {
-        self.total_lookups
     }
 
     /// The space this registry serves.
@@ -294,9 +268,7 @@ impl RegistryCenter {
     /// Returns the number of records expired.
     ///
     /// The boundary is [`ResourceRecord::lease_active`]'s: a lease expiring
-    /// exactly at `now` is already lapsed, so the sweep and lookup-time
-    /// filtering ([`RegistryCenter::find_resources_at`]) can never disagree
-    /// about a record's liveness at the same instant.
+    /// exactly at `now` is already lapsed.
     pub fn expire_leases(&mut self, now: u64) -> usize {
         let expired: Vec<String> = self
             .resources
@@ -311,6 +283,7 @@ impl RegistryCenter {
     }
 
     /// Looks up a resource by individual name.
+    #[cfg(test)]
     pub fn resource(&self, name: &str) -> Option<&ResourceRecord> {
         self.resources.get(name)
     }
@@ -329,6 +302,7 @@ impl RegistryCenter {
     }
 
     /// Number of incremental (delta-driven) materialization runs so far.
+    #[cfg(test)]
     pub fn incremental_materializations(&self) -> usize {
         self.incremental_materializations
     }
@@ -340,6 +314,7 @@ impl RegistryCenter {
     }
 
     /// Number of base facts retracted through the queue so far.
+    #[cfg(test)]
     pub fn retracted_facts(&self) -> usize {
         self.retracted_facts
     }
@@ -418,10 +393,8 @@ impl RegistryCenter {
                 .get(&sub)
                 .is_some_and(|supers| supers.contains(&sup))
         };
-        let mut stats = LookupStats::default();
         let mut out = Vec::new();
         for record in self.resources.values() {
-            stats.candidates += 1;
             let class = self.graph.try_iri(&record.class);
             let quality = if record.class == required_class {
                 Some(MatchQuality::Exact)
@@ -435,16 +408,12 @@ impl RegistryCenter {
                 None
             };
             if let Some(quality) = quality {
-                stats.hits += 1;
                 out.push(ResourceMatch {
                     resource: record.clone(),
                     quality,
                 });
             }
         }
-        self.last_lookup = stats;
-        self.total_lookups.candidates += stats.candidates;
-        self.total_lookups.hits += stats.hits;
         out.sort_by(|a, b| {
             a.quality
                 .cmp(&b.quality)
@@ -459,6 +428,7 @@ impl RegistryCenter {
     /// the same boundary [`RegistryCenter::expire_leases`] uses — so a
     /// lookup between sweeps never serves an advertisement the next sweep
     /// would have deregistered.
+    #[cfg(test)]
     pub fn find_resources_at(&mut self, required_class: &str, now: u64) -> Vec<ResourceMatch> {
         let mut out = self.find_resources(required_class);
         out.retain(|m| m.resource.lease_active(now));
@@ -529,32 +499,6 @@ mod tests {
         // Transitively: an hpLaserJet is also a Resource.
         let matches = c.find_resources("imcl:Resource");
         assert_eq!(matches.len(), 1);
-    }
-
-    #[test]
-    fn lookup_stats_count_candidates_and_hits() {
-        let mut c = center();
-        c.find_resources("imcl:Printer");
-        assert_eq!(
-            c.last_lookup(),
-            LookupStats {
-                candidates: 2,
-                hits: 1
-            }
-        );
-        c.find_resources("imcl:Resource");
-        assert_eq!(c.last_lookup().hits, 1);
-        assert_eq!(c.total_lookups().candidates, 4);
-        assert_eq!(c.total_lookups().hits, 2);
-        // A miss still counts its candidates.
-        c.find_resources("imcl:Scanner");
-        assert_eq!(
-            c.last_lookup(),
-            LookupStats {
-                candidates: 2,
-                hits: 0
-            }
-        );
     }
 
     #[test]

@@ -92,16 +92,6 @@ impl RegistryFederation {
         self.centers.keys().copied().collect()
     }
 
-    /// Number of centers.
-    pub fn len(&self) -> usize {
-        self.centers.len()
-    }
-
-    /// Whether the federation has no centers.
-    pub fn is_empty(&self) -> bool {
-        self.centers.is_empty()
-    }
-
     /// Finds an application record in `target` space, querying from
     /// `origin` space.
     ///
@@ -141,33 +131,6 @@ impl RegistryFederation {
             .ok_or(FederationError::NoCenter(target))?;
         Ok(Federated {
             value: center.find_resources(required_class),
-            crossed_gateway: origin != target,
-        })
-    }
-
-    /// Lease-aware semantic resource lookup in `target` space, from
-    /// `origin` space: records whose lease lapsed at or before `now` (µs)
-    /// are filtered out, with the same endpoint-exclusive boundary the
-    /// expiry sweep uses (see [`ResourceRecord::lease_active`]).
-    ///
-    /// [`ResourceRecord::lease_active`]: crate::record::ResourceRecord::lease_active
-    ///
-    /// # Errors
-    ///
-    /// [`FederationError::NoCenter`] when the target space has no registry.
-    pub fn find_resources_at(
-        &mut self,
-        origin: SpaceId,
-        target: SpaceId,
-        required_class: &str,
-        now: u64,
-    ) -> Result<Federated<Vec<ResourceMatch>>, FederationError> {
-        let center = self
-            .centers
-            .get_mut(&target)
-            .ok_or(FederationError::NoCenter(target))?;
-        Ok(Federated {
-            value: center.find_resources_at(required_class, now),
             crossed_gateway: origin != target,
         })
     }
@@ -230,8 +193,7 @@ mod tests {
         let mut fed = RegistryFederation::new();
         fed.add_center(SpaceId(0));
         fed.add_center(SpaceId(0));
-        assert_eq!(fed.len(), 1);
-        assert!(!fed.is_empty());
+        assert_eq!(fed.spaces(), [SpaceId(0)]);
     }
 
     #[test]

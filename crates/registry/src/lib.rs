@@ -4,9 +4,9 @@
 //! The paper backs its registry center with Juddi and MySQL; applications
 //! register WSDL-like interface descriptions and resources are described
 //! in OWL so agents can match them *semantically* (§3.3, §4.2.2). This
-//! crate provides that registry:
+//! crate provides that registry; it keeps no interface descriptions,
+//! because no lookup reads them:
 //!
-//! * [`InterfaceDescription`]/[`Operation`] — WSDL-like service records.
 //! * [`ApplicationRecord`]/[`ResourceRecord`] — advertisements of deployed
 //!   application components and shareable resources.
 //! * [`RegistryCenter`] — one per smart space; resource facts mirror into
@@ -41,7 +41,7 @@ mod federation;
 mod matching;
 mod record;
 
-pub use center::{LookupStats, RegistryCenter};
+pub use center::RegistryCenter;
 pub use federation::{Federated, FederationError, RegistryFederation};
 pub use matching::{MatchQuality, ResourceMatch};
-pub use record::{ApplicationRecord, InterfaceDescription, Operation, ResourceRecord};
+pub use record::{ApplicationRecord, ResourceRecord};

@@ -1,92 +1,6 @@
-//! Registry records: WSDL-like interface descriptions, application and
-//! resource advertisements.
-
-use std::fmt;
+//! Registry records: application and resource advertisements.
 
 use mdagent_simnet::{HostId, SpaceId};
-
-/// One operation of a service interface.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Operation {
-    /// Operation name, e.g. `"play"`.
-    pub name: String,
-    /// Input message parts.
-    pub inputs: Vec<String>,
-    /// Output message parts.
-    pub outputs: Vec<String>,
-}
-
-impl Operation {
-    /// Creates an operation.
-    pub fn new(
-        name: impl Into<String>,
-        inputs: impl IntoIterator<Item = &'static str>,
-        outputs: impl IntoIterator<Item = &'static str>,
-    ) -> Self {
-        Operation {
-            name: name.into(),
-            inputs: inputs.into_iter().map(str::to_owned).collect(),
-            outputs: outputs.into_iter().map(str::to_owned).collect(),
-        }
-    }
-}
-
-/// A WSDL-like interface description (paper §4.2.2: applications register
-/// "with their interface descriptions … in a WSDL-like format").
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct InterfaceDescription {
-    /// Service name.
-    pub service: String,
-    /// Exposed operations.
-    pub operations: Vec<Operation>,
-    /// Transport endpoint, e.g. `"acl://ma-player@mdagent"`.
-    pub endpoint: String,
-}
-
-impl InterfaceDescription {
-    /// Creates an empty description for a service.
-    pub fn new(service: impl Into<String>) -> Self {
-        InterfaceDescription {
-            service: service.into(),
-            operations: Vec::new(),
-            endpoint: String::new(),
-        }
-    }
-
-    /// Adds an operation (builder style).
-    #[cfg(test)]
-    pub fn operation(mut self, op: Operation) -> Self {
-        self.operations.push(op);
-        self
-    }
-
-    /// Sets the endpoint (builder style).
-    pub fn endpoint(mut self, endpoint: impl Into<String>) -> Self {
-        self.endpoint = endpoint.into();
-        self
-    }
-}
-
-impl fmt::Display for InterfaceDescription {
-    /// Renders a compact WSDL-like textual form.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "<service name=\"{}\" endpoint=\"{}\">",
-            self.service, self.endpoint
-        )?;
-        for op in &self.operations {
-            writeln!(
-                f,
-                "  <operation name=\"{}\" input=\"{}\" output=\"{}\"/>",
-                op.name,
-                op.inputs.join(","),
-                op.outputs.join(",")
-            )?;
-        }
-        write!(f, "</service>")
-    }
-}
 
 /// Advertisement of a deployed application (or application component set).
 #[derive(Debug, Clone, PartialEq)]
@@ -100,8 +14,6 @@ pub struct ApplicationRecord {
     /// Which component kinds are installed there (`"logic"`,
     /// `"presentation"`, `"data"` …).
     pub components: Vec<String>,
-    /// Its interface.
-    pub interface: InterfaceDescription,
     /// Minimum device requirements, free-form `key=value` pairs
     /// (`"screen-width=800"`).
     pub requirements: Vec<(String, String)>,
@@ -115,10 +27,8 @@ pub struct ApplicationRecord {
 impl ApplicationRecord {
     /// Creates a record with no components or requirements.
     pub fn new(name: impl Into<String>, space: SpaceId, host: HostId) -> Self {
-        let name = name.into();
         ApplicationRecord {
-            interface: InterfaceDescription::new(name.clone()),
-            name,
+            name: name.into(),
             space,
             host,
             components: Vec::new(),
@@ -222,13 +132,8 @@ impl ResourceRecord {
         }
     }
 
-    /// Sets transferability (builder style).
-    pub fn transferable(mut self, yes: bool) -> Self {
-        self.transferable = yes;
-        self
-    }
-
     /// Sets substitutability (builder style).
+    #[cfg(test)]
     pub fn substitutable(mut self, yes: bool) -> Self {
         self.substitutable = yes;
         self
@@ -252,8 +157,7 @@ impl ResourceRecord {
     /// Whether the advertisement is still live at simulated time `now`
     /// (µs). Unleased records never lapse. The expiry instant itself is
     /// *lapsed* — `lease_until(t)` means active strictly before `t` — and
-    /// every consumer (the [`RegistryCenter::expire_leases`] sweep and
-    /// lookup-time filtering alike) shares this boundary through this one
+    /// the [`RegistryCenter::expire_leases`] sweep applies this one
     /// predicate.
     ///
     /// [`RegistryCenter::expire_leases`]: crate::RegistryCenter::expire_leases
@@ -267,18 +171,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn interface_renders_wsdl_like_text() {
-        let iface = InterfaceDescription::new("media-player")
-            .endpoint("acl://ma-player@mdagent")
-            .operation(Operation::new("play", ["track"], ["status"]))
-            .operation(Operation::new("stop", [], ["status"]));
-        let text = iface.to_string();
-        assert!(text.contains("<service name=\"media-player\""));
-        assert!(text.contains("<operation name=\"play\" input=\"track\" output=\"status\"/>"));
-        assert!(text.ends_with("</service>"));
-    }
-
-    #[test]
     fn application_record_builders() {
         let rec = ApplicationRecord::new("editor", SpaceId(0), HostId(1))
             .with_component("presentation")
@@ -287,7 +179,6 @@ mod tests {
         assert!(rec.has_component("logic"));
         assert!(!rec.has_component("data"));
         assert_eq!(rec.requirements.len(), 1);
-        assert_eq!(rec.interface.service, "editor");
     }
 
     #[test]
@@ -307,10 +198,8 @@ mod tests {
     #[test]
     fn resource_record_builders() {
         let rec = ResourceRecord::new("imcl:prn-821", "imcl:hpLaserJet", SpaceId(0), HostId(0))
-            .transferable(false)
             .substitutable(true)
             .address("host-0:9100");
-        assert!(!rec.transferable);
         assert!(rec.substitutable);
         assert_eq!(rec.address, "host-0:9100");
     }

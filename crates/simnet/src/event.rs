@@ -9,17 +9,18 @@
 //! * [`Calendar`] (the default) — a bucketed calendar queue: a timing wheel
 //!   of power-of-two-width windows with an overflow heap for events beyond
 //!   the horizon, rebucketed lazily as the horizon advances. Inserts and
-//!   pops are O(1) amortized, payloads live inline in the bucket entries,
-//!   and liveness is a 4-byte generation word — the hot path allocates
-//!   nothing and takes no per-event cache miss.
+//!   pops are O(1) amortized and payloads live inline in the bucket
+//!   entries, so the hot path allocates nothing.
 //! * [`ReferenceHeap`] — the original single `BinaryHeap` scheduler, kept
 //!   behind [`QueueKind::ReferenceHeap`] as the equivalence baseline for
 //!   tests and benchmarks.
 //!
-//! Both pop live events in exactly the same order on any schedule; the
+//! A scheduled event always fires: there is no cancellation. A handler
+//! whose target may be gone by the time it fires checks liveness in the
+//! world (the platform arena's generations, a flight's attempt number).
+//! Both queues pop events in exactly the same order on any schedule; the
 //! property tests in `tests/prop_queue.rs` prove it.
 
-use mdagent_fx::FxHashSet;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
@@ -93,103 +94,17 @@ pub enum QueueKind {
     ReferenceHeap,
 }
 
-/// Opaque handle to a scheduled event, usable for cancellation.
-///
-/// # Examples
-///
-/// ```
-/// use mdagent_simnet::{Simulator, SimDuration};
-///
-/// let mut sim: Simulator<u32> = Simulator::new();
-/// let id = sim.schedule_in(SimDuration::from_millis(5), |w, _| *w += 1);
-/// sim.cancel(id);
-/// let mut world = 0;
-/// sim.run(&mut world);
-/// assert_eq!(world, 0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(pub(crate) u64);
-
-// ---------------------------------------------------------------------------
-// Generation table
-// ---------------------------------------------------------------------------
-
-/// Liveness table for calendar-queue events: one `u32` word per slot,
-/// `generation << 1 | live`. Payloads live *inline* in the queue entries,
-/// so the hot path touches only this 4-byte word per event — at 100k
-/// pending events the whole table fits in L2 where a payload slab would
-/// thrash 40-byte cells through main memory.
-///
-/// Cancellation is an O(1) generation bump: the slot frees immediately,
-/// `len` stays exact, and the orphaned entry (detected by its stale
-/// generation) is discarded when its window stages. A cancelled boxed
-/// closure is therefore dropped at staging time, not at cancel time —
-/// bounded by its own delay, never leaked.
-struct GenTable {
-    words: Vec<u32>,
-    free: Vec<u32>,
-}
-
-impl GenTable {
-    fn new() -> Self {
-        GenTable {
-            words: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    /// Allocates a live slot and returns `(slot, generation)`.
-    fn alloc(&mut self) -> (u32, u32) {
-        if let Some(slot) = self.free.pop() {
-            let word = &mut self.words[slot as usize];
-            let gen = *word >> 1;
-            *word |= 1;
-            (slot, gen)
-        } else {
-            let slot = self.words.len() as u32;
-            self.words.push(1);
-            (slot, 0)
-        }
-    }
-
-    /// Frees a slot, invalidating its current generation.
-    fn release(&mut self, slot: u32) {
-        let word = &mut self.words[slot as usize];
-        *word = (*word >> 1).wrapping_add(1) << 1;
-        self.free.push(slot);
-    }
-
-    /// Frees the slot iff `(slot, gen)` is the live occupant.
-    fn cancel(&mut self, slot: u32, gen: u32) -> bool {
-        let live = self.is_live(slot, gen);
-        if live {
-            self.release(slot);
-        }
-        live
-    }
-
-    #[inline]
-    fn is_live(&self, slot: u32, gen: u32) -> bool {
-        self.words.get(slot as usize) == Some(&((gen << 1) | 1))
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Calendar queue
 // ---------------------------------------------------------------------------
 
-/// A queue entry: the full ordering key, the generation-table handle, and
-/// the payload *inline*. Keeping the payload in the entry (rather than in a
-/// side slab) means a pop touches only memory the staging sort already
-/// pulled into cache; the only random access left is the 4-byte liveness
-/// word. `payload` is `None` once taken by `pop` or for entries whose event
-/// was cancelled before they were staged.
+/// A queue entry: the full ordering key and the payload *inline*. Keeping
+/// the payload in the entry (rather than in a side slab) means a pop
+/// touches only memory the staging sort already pulled into cache.
 struct Entry<W> {
     at: SimTime,
     seq: u64,
-    slot: u32,
-    gen: u32,
-    payload: Option<Payload<W>>,
+    payload: Payload<W>,
 }
 
 impl<W> PartialEq for Entry<W> {
@@ -250,17 +165,16 @@ const BUCKET_RETAIN: usize = 8;
 /// min-heap instead; every pop takes the smaller of the two heads, so the
 /// merged order is still exactly `(time, seq)`-minimal.
 ///
-/// Invariant: every live entry with window `< wheel_win` is in
+/// Invariant: every entry with window `< wheel_win` is in
 /// `current` or `late`; windows `[wheel_win, wheel_win + n)` live in
 /// their bucket; everything later sits in `overflow`. The smaller of the
 /// `current`/`late` heads is therefore always the global `(time, seq)`
 /// minimum, which is what preserves the determinism contract.
 pub(crate) struct Calendar<W> {
-    table: GenTable,
     buckets: Vec<Vec<Entry<W>>>,
     /// One bit per bucket: set while the bucket holds any entry.
     occupied: Vec<u64>,
-    /// Raw entries (live + stale) across all buckets.
+    /// Entries across all buckets.
     wheel_count: usize,
     /// Window width is `1 << wshift` microseconds.
     wshift: u32,
@@ -284,7 +198,6 @@ pub(crate) struct Calendar<W> {
 impl<W> Calendar<W> {
     fn new() -> Self {
         Calendar {
-            table: GenTable::new(),
             buckets: (0..BUCKETS_MIN).map(|_| Vec::new()).collect(),
             occupied: vec![0; BUCKETS_MIN / 64],
             wheel_count: 0,
@@ -301,41 +214,20 @@ impl<W> Calendar<W> {
         }
     }
 
-    /// Discards stale (cancelled) heads and advances windows until a live
-    /// entry heads the staged run, then returns `(at, from_late)` for it;
-    /// `None` when the queue is drained. Both `pop` and `peek_time` funnel
-    /// through this one helper, so the two paths cannot drift.
+    /// Stages the next window if both the run and the `late` heap are
+    /// empty, then returns `(at, from_late)` for the smaller of their two
+    /// heads; `None` when the queue is drained. Both `pop` and `peek_time`
+    /// funnel through this one helper, so the two paths cannot drift.
     // mdlint::hot
     fn settle(&mut self) -> Option<(SimTime, bool)> {
-        loop {
-            let run = self.current.last();
-            let late = self.late.peek().map(|Reverse(e)| e);
-            let (at, slot, gen, from_late) = match (run, late) {
-                (Some(a), Some(b)) => {
-                    if b < a {
-                        (b.at, b.slot, b.gen, true)
-                    } else {
-                        (a.at, a.slot, a.gen, false)
-                    }
-                }
-                (Some(a), None) => (a.at, a.slot, a.gen, false),
-                (None, Some(b)) => (b.at, b.slot, b.gen, true),
-                (None, None) => {
-                    if !self.advance_window() {
-                        return None;
-                    }
-                    continue;
-                }
-            };
-            if self.table.is_live(slot, gen) {
-                return Some((at, from_late));
-            }
-            // Stale head: dropping the entry reclaims a cancelled payload.
-            if from_late {
-                self.late.pop();
-            } else {
-                self.current.pop();
-            }
+        if self.current.is_empty() && self.late.is_empty() && !self.advance_window() {
+            return None;
+        }
+        let late = self.late.peek().map(|Reverse(e)| e);
+        match (self.current.last(), late) {
+            (Some(a), Some(b)) if b < a => Some((b.at, true)),
+            (Some(a), _) => Some((a.at, false)),
+            (None, b) => b.map(|b| (b.at, true)),
         }
     }
 
@@ -345,23 +237,15 @@ impl<W> Calendar<W> {
     }
 
     // mdlint::hot
-    fn push(&mut self, at: SimTime, payload: Payload<W>) -> EventId {
-        let (slot, gen) = self.table.alloc();
+    fn push(&mut self, at: SimTime, payload: Payload<W>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.insert_entry(Entry {
-            at,
-            seq,
-            slot,
-            gen,
-            payload: Some(payload),
-        });
+        self.insert_entry(Entry { at, seq, payload });
         self.len += 1;
         if self.len > self.buckets.len() * 4 && self.buckets.len() < BUCKETS_MAX {
             let n = self.buckets.len() * 2;
             self.rebuild(self.wshift, n);
         }
-        EventId(((gen as u64) << 32) | slot as u64)
     }
 
     fn insert_entry(&mut self, e: Entry<W>) {
@@ -379,29 +263,16 @@ impl<W> Calendar<W> {
         }
     }
 
-    fn cancel(&mut self, id: EventId) -> bool {
-        let slot = id.0 as u32;
-        let gen = (id.0 >> 32) as u32;
-        if self.table.cancel(slot, gen) {
-            self.len -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
     // mdlint::hot
     fn pop(&mut self) -> Option<(SimTime, Payload<W>)> {
-        let (at, from_late) = self.settle()?;
+        let (_, from_late) = self.settle()?;
         let e = if from_late {
             self.late.pop()?.0
         } else {
             self.current.pop()?
         };
-        let payload = e.payload?;
-        self.table.release(e.slot);
         self.len -= 1;
-        Some((at, payload))
+        Some((e.at, e.payload))
     }
 
     fn peek_time(&mut self) -> Option<SimTime> {
@@ -599,13 +470,9 @@ impl<W> Ord for RefScheduled<W> {
 }
 
 /// The original single binary-heap scheduler, kept as the equivalence
-/// reference. Cancellation uses tombstones, but membership is checked
-/// against the live-id set first, so cancelling an already-popped event can
-/// no longer leak a tombstone or skew `len()`.
+/// reference.
 pub(crate) struct ReferenceHeap<W> {
     heap: BinaryHeap<RefScheduled<W>>,
-    cancelled: FxHashSet<u64>,
-    live: FxHashSet<u64>,
     next_seq: u64,
 }
 
@@ -613,58 +480,25 @@ impl<W> ReferenceHeap<W> {
     fn new() -> Self {
         ReferenceHeap {
             heap: BinaryHeap::new(),
-            cancelled: FxHashSet::default(),
-            live: FxHashSet::default(),
             next_seq: 0,
         }
     }
 
     // mdlint::hot
-    fn push(&mut self, at: SimTime, payload: Payload<W>) -> EventId {
+    fn push(&mut self, at: SimTime, payload: Payload<W>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live.insert(seq);
         self.heap.push(RefScheduled { at, seq, payload });
-        EventId(seq)
-    }
-
-    fn cancel(&mut self, id: EventId) -> bool {
-        // Membership check before tombstoning: an id that already popped
-        // (or was already cancelled) is not live, so it can never park a
-        // tombstone in `cancelled` forever.
-        if !self.live.remove(&id.0) {
-            return false;
-        }
-        self.cancelled.insert(id.0)
-    }
-
-    /// Discards tombstoned events at the top of the heap. `pop` and
-    /// `peek_time` both call this, so their skip logic cannot drift.
-    fn skip_cancelled(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.remove(&top.seq) {
-                self.heap.pop();
-            } else {
-                break;
-            }
-        }
     }
 
     // mdlint::hot
     fn pop(&mut self) -> Option<(SimTime, Payload<W>)> {
-        self.skip_cancelled();
         let ev = self.heap.pop()?;
-        self.live.remove(&ev.seq);
         Some((ev.at, ev.payload))
     }
 
-    fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_cancelled();
+    fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|ev| ev.at)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
     }
 }
 
@@ -672,8 +506,8 @@ impl<W> ReferenceHeap<W> {
 // Facade
 // ---------------------------------------------------------------------------
 
-/// Min-queue of scheduled events with O(1) logical cancellation, backed by
-/// either the calendar queue or the reference heap.
+/// Min-queue of scheduled events, backed by either the calendar queue or
+/// the reference heap.
 pub(crate) enum EventQueue<W> {
     Calendar(Calendar<W>),
     Reference(ReferenceHeap<W>),
@@ -688,21 +522,14 @@ impl<W> EventQueue<W> {
     }
 
     // mdlint::hot
-    pub fn push(&mut self, at: SimTime, payload: Payload<W>) -> EventId {
+    pub fn push(&mut self, at: SimTime, payload: Payload<W>) {
         match self {
             EventQueue::Calendar(q) => q.push(at, payload),
             EventQueue::Reference(q) => q.push(at, payload),
         }
     }
 
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        match self {
-            EventQueue::Calendar(q) => q.cancel(id),
-            EventQueue::Reference(q) => q.cancel(id),
-        }
-    }
-
-    /// Pops the next live (non-cancelled) event.
+    /// Pops the next event.
     // mdlint::hot
     pub fn pop(&mut self) -> Option<(SimTime, Payload<W>)> {
         match self {
@@ -711,7 +538,7 @@ impl<W> EventQueue<W> {
         }
     }
 
-    /// The instant of the next live event without removing it.
+    /// The instant of the next event without removing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         match self {
             EventQueue::Calendar(q) => q.peek_time(),
@@ -719,15 +546,15 @@ impl<W> EventQueue<W> {
         }
     }
 
-    /// Exact number of live (scheduled, not yet fired or cancelled) events.
+    /// Exact number of scheduled, not yet fired events.
     pub fn len(&self) -> usize {
         match self {
             EventQueue::Calendar(q) => q.len,
-            EventQueue::Reference(q) => q.len(),
+            EventQueue::Reference(q) => q.heap.len(),
         }
     }
 
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn is_empty(&mut self) -> bool {
         self.peek_time().is_none()
     }
@@ -736,7 +563,6 @@ impl<W> EventQueue<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     type W = Vec<u32>;
 
@@ -751,87 +577,34 @@ mod tests {
         ]
     }
 
+    fn tagged(tag: u64) -> Payload<W> {
+        Payload::Data(|_, _, _| {}, EventData::one(tag))
+    }
+
+    fn tag_of(popped: Option<(SimTime, Payload<W>)>) -> Option<(SimTime, u64)> {
+        match popped? {
+            (at, Payload::Data(_, d)) => Some((at, d.a)),
+            _ => None,
+        }
+    }
+
     #[test]
     fn pops_in_time_then_fifo_order() {
         for mut q in queues() {
-            let t1 = SimTime::ZERO + SimDuration::from_millis(5);
-            let t0 = SimTime::ZERO + SimDuration::from_millis(1);
-            let a = q.push(t1, noop());
-            let b = q.push(t0, noop());
-            let c = q.push(t1, noop());
-            // Ids are opaque; verify order through times and cancellation.
-            assert_eq!(q.pop().map(|(at, _)| at), Some(t0));
-            assert!(q.cancel(a), "first t1 event still live");
-            assert_eq!(q.pop().map(|(at, _)| at), Some(t1));
-            assert!(!q.cancel(c), "c already popped");
-            assert!(!q.cancel(b), "b already popped");
-            assert!(q.pop().is_none());
-        }
-    }
-
-    #[test]
-    fn cancellation_skips_event() {
-        for mut q in queues() {
-            let t = SimTime::from_millis(1);
-            let a = q.push(t, noop());
-            let b = q.push(t, noop());
-            assert!(q.cancel(a));
-            assert!(!q.cancel(a), "double cancel reports false");
-            assert!(!q.cancel(EventId(0xdead_beef_0099)), "unknown id is false");
-            assert_eq!(q.len(), 1);
-            assert!(q.pop().is_some());
-            let _ = b;
-            assert!(q.is_empty());
-        }
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        for mut q in queues() {
-            let a = q.push(SimTime::from_millis(1), noop());
-            q.push(SimTime::from_millis(2), noop());
-            q.cancel(a);
-            assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
-            assert_eq!(q.len(), 1);
-        }
-    }
-
-    #[test]
-    fn cancel_after_pop_does_not_leak_or_skew_len() {
-        // Regression: cancelling an already-popped id used to park a
-        // tombstone forever and permanently skew len().
-        for mut q in queues() {
-            let a = q.push(SimTime::from_millis(1), noop());
-            let b = q.push(SimTime::from_millis(2), noop());
-            assert!(q.pop().is_some()); // pops a
-            assert!(!q.cancel(a), "already-popped id must report false");
-            assert_eq!(q.len(), 1, "len unaffected by the dead cancel");
-            assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
-            assert!(q.pop().is_some());
-            assert!(!q.cancel(b));
-            assert_eq!(q.len(), 0);
-            // A fresh event still behaves normally afterwards.
-            let c = q.push(SimTime::from_millis(3), noop());
-            assert_eq!(q.len(), 1);
-            assert!(q.cancel(c));
-            assert_eq!(q.len(), 0);
-            assert!(q.pop().is_none());
-        }
-    }
-
-    #[test]
-    fn cancel_then_reschedule_same_instant() {
-        for mut q in queues() {
-            let t = SimTime::from_millis(7);
-            let a = q.push(t, noop());
-            q.push(t, noop());
-            assert!(q.cancel(a));
-            // Reschedule at the same instant: the new event is later in
-            // FIFO order than the surviving one.
-            q.push(t, noop());
+            let t1 = SimTime::from_millis(5);
+            let t0 = SimTime::from_millis(1);
+            q.push(t1, tagged(0));
+            q.push(t0, tagged(1));
+            q.push(t1, tagged(2));
+            assert_eq!(q.len(), 3);
+            assert_eq!(q.peek_time(), Some(t0));
+            assert_eq!(tag_of(q.pop()), Some((t0, 1)));
+            assert_eq!(q.peek_time(), Some(t1));
             assert_eq!(q.len(), 2);
-            assert_eq!(q.pop().map(|(at, _)| at), Some(t));
-            assert_eq!(q.pop().map(|(at, _)| at), Some(t));
+            assert_eq!(tag_of(q.pop()), Some((t1, 0)), "same instant pops FIFO");
+            assert_eq!(tag_of(q.pop()), Some((t1, 2)));
+            assert_eq!(q.len(), 0);
+            assert!(q.is_empty());
             assert!(q.pop().is_none());
         }
     }
@@ -871,29 +644,5 @@ mod tests {
             expect.iter().map(|&(t, _)| t).collect::<Vec<_>>(),
             "pop order must follow (time, seq) across windows"
         );
-    }
-
-    #[test]
-    fn calendar_survives_heavy_cancel_churn() {
-        let mut q: EventQueue<Vec<u32>> = EventQueue::new(QueueKind::Calendar);
-        let mut ids = Vec::new();
-        for i in 0..10_000u64 {
-            ids.push(q.push(SimTime::from_micros(i * 37 % 50_000), noop()));
-        }
-        for (i, id) in ids.iter().enumerate() {
-            if i % 2 == 0 {
-                assert!(q.cancel(*id));
-            }
-        }
-        assert_eq!(q.len(), 5_000);
-        let mut popped = 0;
-        let mut last = SimTime::ZERO;
-        while let Some((at, _)) = q.pop() {
-            assert!(at >= last);
-            last = at;
-            popped += 1;
-        }
-        assert_eq!(popped, 5_000);
-        assert_eq!(q.len(), 0);
     }
 }

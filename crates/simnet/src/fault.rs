@@ -105,11 +105,6 @@ impl FaultInjector {
         }
     }
 
-    /// The configured knobs.
-    pub fn options(&self) -> FaultOptions {
-        self.options
-    }
-
     /// Replaces the knobs.
     pub fn set_options(&mut self, options: FaultOptions) {
         self.options = options;

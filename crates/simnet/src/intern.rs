@@ -12,13 +12,6 @@ use mdagent_fx::FxHashMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(u32);
 
-impl Symbol {
-    /// The raw dense index (0-based, in interning order).
-    pub fn index(self) -> u32 {
-        self.0
-    }
-}
-
 /// A deterministic string interner: the first occurrence of each string
 /// gets the next dense [`Symbol`], so identical insertion orders yield
 /// identical symbols across runs.
@@ -58,26 +51,11 @@ impl Interner {
         sym
     }
 
-    /// Returns the symbol for `s` if it is already interned.
-    pub fn get(&self, s: &str) -> Option<Symbol> {
-        self.index.get(s).copied()
-    }
-
     /// The string behind a symbol. Symbols come only from this interner's
     /// [`intern`](Self::intern), so resolution cannot miss; a foreign
     /// symbol resolves to `""` rather than panicking.
     pub fn resolve(&self, sym: Symbol) -> &str {
         self.strings.get(sym.0 as usize).map_or("", String::as_str)
-    }
-
-    /// Number of distinct interned strings.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// True when nothing has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
     }
 }
 
@@ -90,13 +68,10 @@ mod tests {
         let mut i = Interner::new();
         let a = i.intern("alpha");
         let b = i.intern("beta");
-        assert_eq!(a.index(), 0);
-        assert_eq!(b.index(), 1);
+        assert_eq!((a, b), (Symbol(0), Symbol(1)));
         assert_eq!(i.intern("alpha"), a);
-        assert_eq!(i.len(), 2);
+        assert_eq!(i.strings.len(), 2);
         assert_eq!(i.resolve(a), "alpha");
-        assert_eq!(i.get("beta"), Some(b));
-        assert_eq!(i.get("gamma"), None);
     }
 
     #[test]

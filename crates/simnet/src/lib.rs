@@ -55,7 +55,7 @@ mod time;
 mod topology;
 mod trace;
 
-pub use event::{EventData, EventId, QueueKind};
+pub use event::{EventData, QueueKind};
 pub use fault::{FaultInjector, FaultOptions, TransferFault};
 pub use intern::{Interner, Symbol};
 pub use metrics::{DurationStats, Histogram, MetricsRegistry};

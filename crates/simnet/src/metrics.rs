@@ -68,15 +68,6 @@ impl DurationStats {
         self.total() / self.samples.len() as u64
     }
 
-    /// Smallest sample, or zero when empty.
-    pub fn min(&self) -> SimDuration {
-        self.samples
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(SimDuration::ZERO)
-    }
-
     /// Largest sample, or zero when empty.
     pub fn max(&self) -> SimDuration {
         self.samples
@@ -435,7 +426,6 @@ mod tests {
         }
         assert_eq!(s.count(), 4);
         assert_eq!(s.mean(), SimDuration::from_millis(25));
-        assert_eq!(s.min(), SimDuration::from_millis(10));
         assert_eq!(s.max(), SimDuration::from_millis(40));
         assert_eq!(s.quantile(0.5), SimDuration::from_millis(20));
         assert_eq!(s.quantile(1.0), SimDuration::from_millis(40));

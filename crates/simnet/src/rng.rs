@@ -69,15 +69,6 @@ impl SimRng {
         let mag = (-2.0 * u1.ln()).sqrt();
         mean + std_dev * mag * (std::f64::consts::TAU * u2).cos()
     }
-
-    /// Picks a uniformly random element of a non-empty slice.
-    pub fn pick<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            return None;
-        }
-        let idx = self.uniform_u64(0, items.len() as u64 - 1) as usize;
-        items.get(idx)
-    }
 }
 
 #[cfg(test)]
@@ -124,14 +115,6 @@ mod tests {
             let v = rng.uniform_u64(10, 5);
             assert!((5..=10).contains(&v));
         }
-    }
-
-    #[test]
-    fn pick_handles_empty_and_singleton() {
-        let mut rng = SimRng::seed_from(3);
-        let empty: &[u8] = &[];
-        assert_eq!(rng.pick(empty), None);
-        assert_eq!(rng.pick(&[42]), Some(&42));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! registries and applications inside the world; the simulator stays a thin,
 //! reusable kernel.
 
-use crate::event::{EventData, EventId, EventQueue, Payload, QueueKind};
+use crate::event::{EventData, EventQueue, Payload, QueueKind};
 use crate::time::{SimDuration, SimTime};
 
 /// A deterministic discrete-event simulator.
@@ -33,7 +33,6 @@ pub struct Simulator<W> {
     now: SimTime,
     queue: EventQueue<W>,
     executed: u64,
-    limit: Option<u64>,
 }
 
 impl<W> std::fmt::Debug for Simulator<W> {
@@ -67,7 +66,6 @@ impl<W> Simulator<W> {
             now: SimTime::ZERO,
             queue: EventQueue::new(kind),
             executed: 0,
-            limit: None,
         }
     }
 
@@ -86,17 +84,11 @@ impl<W> Simulator<W> {
         self.queue.len()
     }
 
-    /// Caps the total number of events executed by [`run`](Self::run); a
-    /// safety valve against runaway scenarios. `None` removes the cap.
-    pub fn set_event_limit(&mut self, limit: Option<u64>) {
-        self.limit = limit;
-    }
-
     /// Schedules `action` at the absolute instant `at`.
     ///
     /// Instants in the past are clamped to *now* (the event still runs, at
     /// the current instant, after already-queued events for that instant).
-    pub fn schedule_at<F>(&mut self, at: SimTime, action: F) -> EventId
+    pub fn schedule_at<F>(&mut self, at: SimTime, action: F)
     where
         F: FnOnce(&mut W, &mut Simulator<W>) + 'static,
     {
@@ -104,35 +96,21 @@ impl<W> Simulator<W> {
     }
 
     /// Schedules `action` after the relative delay `delay`.
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, action: F) -> EventId
+    pub fn schedule_in<F>(&mut self, delay: SimDuration, action: F)
     where
         F: FnOnce(&mut W, &mut Simulator<W>) + 'static,
     {
         self.schedule_at(self.now + delay, action)
     }
 
-    /// Schedules `action` at the current instant, after already-queued
-    /// events for this instant.
-    #[cfg(test)]
-    pub fn schedule_now<F>(&mut self, action: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Simulator<W>) + 'static,
-    {
-        self.schedule_at(self.now, action)
-    }
-
     /// Schedules a plain function pointer at the absolute instant `at` —
     /// no allocation, no captured state. Past instants clamp to *now*.
-    pub fn schedule_fn_at(&mut self, at: SimTime, f: fn(&mut W, &mut Simulator<W>)) -> EventId {
+    pub fn schedule_fn_at(&mut self, at: SimTime, f: fn(&mut W, &mut Simulator<W>)) {
         self.push(at, Payload::Fn(f))
     }
 
     /// Schedules a plain function pointer after `delay` (allocation-free).
-    pub fn schedule_fn_in(
-        &mut self,
-        delay: SimDuration,
-        f: fn(&mut W, &mut Simulator<W>),
-    ) -> EventId {
+    pub fn schedule_fn_in(&mut self, delay: SimDuration, f: fn(&mut W, &mut Simulator<W>)) {
         self.schedule_fn_at(self.now + delay, f)
     }
 
@@ -145,7 +123,7 @@ impl<W> Simulator<W> {
         at: SimTime,
         f: fn(&mut W, &mut Simulator<W>, EventData),
         data: EventData,
-    ) -> EventId {
+    ) {
         self.push(at, Payload::Data(f, data))
     }
 
@@ -156,7 +134,7 @@ impl<W> Simulator<W> {
         delay: SimDuration,
         f: fn(&mut W, &mut Simulator<W>, EventData),
         data: EventData,
-    ) -> EventId {
+    ) {
         self.schedule_data_at(self.now + delay, f, data)
     }
 
@@ -167,19 +145,13 @@ impl<W> Simulator<W> {
         &mut self,
         f: fn(&mut W, &mut Simulator<W>, EventData),
         data: EventData,
-    ) -> EventId {
+    ) {
         self.schedule_data_at(self.now, f, data)
     }
 
-    fn push(&mut self, at: SimTime, payload: Payload<W>) -> EventId {
+    fn push(&mut self, at: SimTime, payload: Payload<W>) {
         let at = at.max(self.now);
         self.queue.push(at, payload)
-    }
-
-    /// Cancels a pending event. Returns `false` if the event already ran,
-    /// was already cancelled, or never existed.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.queue.cancel(id)
     }
 
     /// Runs a single event if one is pending, advancing the clock to it.
@@ -202,30 +174,18 @@ impl<W> Simulator<W> {
         }
     }
 
-    /// Runs until the event queue drains (or the event limit trips).
+    /// Runs until the event queue drains.
     pub fn run(&mut self, world: &mut W) {
-        while self.within_limit() && self.step(world) {}
+        while self.step(world) {}
     }
 
     /// Runs events until the clock would pass `deadline`; the clock is left
     /// at `deadline` (or later if an event fired exactly there).
     pub fn run_until(&mut self, world: &mut W, deadline: SimTime) {
-        while self.within_limit() {
-            match self.queue.peek_time() {
-                Some(t) if t <= deadline => {
-                    self.step(world);
-                }
-                _ => break,
-            }
+        while self.queue.peek_time().is_some_and(|t| t <= deadline) {
+            self.step(world);
         }
         self.now = self.now.max(deadline);
-    }
-
-    fn within_limit(&self) -> bool {
-        match self.limit {
-            Some(cap) => self.executed < cap,
-            None => true,
-        }
     }
 }
 
@@ -292,29 +252,5 @@ mod tests {
             [5_000, 5_000],
             "clamped event runs at now, not in the past"
         );
-    }
-
-    #[test]
-    fn event_limit_halts_runaway() {
-        let mut sim: Simulator<u64> = Simulator::new();
-        fn tick(w: &mut u64, sim: &mut Simulator<u64>) {
-            *w += 1;
-            sim.schedule_in(SimDuration::from_micros(1), tick);
-        }
-        sim.schedule_now(tick);
-        sim.set_event_limit(Some(100));
-        let mut world = 0;
-        sim.run(&mut world);
-        assert_eq!(world, 100);
-    }
-
-    #[test]
-    fn cancelled_events_do_not_fire() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        let id = sim.schedule_in(SimDuration::from_millis(1), |w, _| *w = 99);
-        assert!(sim.cancel(id));
-        let mut world = 0;
-        sim.run(&mut world);
-        assert_eq!(world, 0);
     }
 }

@@ -788,22 +788,6 @@ impl Telemetry {
         self.spans.iter().filter(move |s| s.parent == Some(parent))
     }
 
-    /// Drops all spans and fully resets collector state — the span-id
-    /// counter, per-trace buffers, id indexes and sampler accounting —
-    /// so traces exported after a clear can never alias ids from a prior
-    /// run. Enablement and sampler configuration are kept.
-    pub fn clear(&mut self) {
-        self.spans.clear();
-        if let Some(sampler) = self.sampler.as_mut() {
-            sampler.next_id = 0;
-            sampler.open.clear();
-            sampler.order.clear();
-            sampler.locate.clear();
-            sampler.kept.clear();
-            sampler.stats = SamplerStats::default();
-        }
-    }
-
     /// Walks parents up to the root ancestor of `id` — the trace id used
     /// as the Chrome track and for exemplar links in `OBS_report.json`.
     pub fn root_of(&self, id: SpanId) -> SpanId {
@@ -1037,26 +1021,5 @@ mod tests {
         let span = tel.span(late).expect("late child promoted");
         assert_eq!(span.parent, Some(root));
         assert_eq!(tel.sampler_stats().unwrap().unaccounted(), 0);
-    }
-
-    #[test]
-    fn clear_fully_resets_sampled_collector_state() {
-        let mut tel = sampler(1.0, 16);
-        let first_root = run_trace(&mut tel, 0, None);
-        let dangling = tel
-            .open("migration", None, SimTime::from_millis(50))
-            .detach();
-        assert!(first_root.raw() < dangling.raw());
-        tel.clear();
-        let stats = tel.sampler_stats().unwrap();
-        assert_eq!(stats, SamplerStats::default());
-        assert!(tel.spans().is_empty());
-        assert!(tel.span(dangling).is_none(), "buffers were emptied");
-        // The id counter restarted: the next trace re-uses raw id 0, so
-        // exports after a clear cannot alias ids from the prior run.
-        let reborn = run_trace(&mut tel, 100, None);
-        assert_eq!(reborn.raw(), 0);
-        assert_eq!(tel.spans()[0].id, reborn);
-        assert!(tel.sampler_options().is_some() && tel.is_enabled());
     }
 }

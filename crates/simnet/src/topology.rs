@@ -55,11 +55,6 @@ impl CpuFactor {
         CpuFactor(factor.clamp(0.01, 1000.0))
     }
 
-    /// The raw multiplier.
-    pub fn factor(self) -> f64 {
-        self.0
-    }
-
     /// Scales a CPU-bound cost by this host's speed.
     pub fn scale(self, reference_cost: SimDuration) -> SimDuration {
         SimDuration::from_secs_f64(reference_cost.as_secs_f64() / self.0)
@@ -136,16 +131,6 @@ impl Link {
     /// One-way propagation latency.
     pub fn latency(&self) -> SimDuration {
         self.latency
-    }
-
-    /// Raw bandwidth in bits per second.
-    pub fn bandwidth_bps(&self) -> u64 {
-        self.bandwidth_bps
-    }
-
-    /// Fraction of raw bandwidth usable as goodput (protocol overheads).
-    pub fn efficiency(&self) -> f64 {
-        self.efficiency
     }
 
     /// Time to push `bytes` through this link, excluding latency.
@@ -836,7 +821,7 @@ mod tests {
             slow.scale(SimDuration::from_millis(100)),
             SimDuration::from_millis(200)
         );
-        assert_eq!(CpuFactor::new(-3.0).factor(), 0.01, "clamped");
+        assert_eq!(CpuFactor::new(-3.0).0, 0.01, "clamped");
     }
 
     #[test]

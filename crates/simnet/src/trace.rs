@@ -469,7 +469,7 @@ impl fmt::Display for TraceEntry {
 /// let mut trace = Trace::new();
 /// trace.record(SimTime::from_millis(5), TraceCategory::Agent, "MA check-out");
 /// assert_eq!(trace.entries().len(), 1);
-/// assert!(trace.contains("check-out"));
+/// assert_eq!(trace.check_sequence(&["check-out"]), Ok(()));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
@@ -532,11 +532,6 @@ impl Trace {
         &self.entries
     }
 
-    /// Whether any entry's message contains `needle`.
-    pub fn contains(&self, needle: &str) -> bool {
-        self.entries.iter().any(|e| e.message().contains(needle))
-    }
-
     /// Asserts that the given needles occur in order (not necessarily
     /// adjacent). Returns the first missing or out-of-order needle.
     pub fn check_sequence<'a>(&self, needles: &[&'a str]) -> Result<(), &'a str> {
@@ -571,7 +566,7 @@ mod tests {
                 .count(),
             1
         );
-        assert!(t.contains("decision"));
+        assert_eq!(t.check_sequence(&["decision"]), Ok(()));
     }
 
     #[test]

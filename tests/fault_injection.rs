@@ -81,7 +81,7 @@ fn failing_factory_surfaces_checkin_failure() {
     sim.run(&mut w);
     assert_eq!(w.platform.agent_state(&id), Some(LifecycleState::Deleted));
     assert_eq!(w.env.metrics.counter("platform.checkin_failures"), 1);
-    assert!(w.env.trace.contains("check-in FAILED"));
+    assert!(w.env.trace.check_sequence(&["check-in FAILED"]).is_ok());
 }
 
 #[test]

@@ -45,7 +45,10 @@ fn fig4_sequence_is_observed() {
         ])
         .unwrap_or_else(|missing| panic!("Fig. 4 step missing from trace: {missing}"));
     // Suspension and state recording happen together (one coordinator act).
-    assert!(world.trace().contains("snapshot manager records states"));
+    assert!(world
+        .trace()
+        .check_sequence(&["snapshot manager records states"])
+        .is_ok());
 
     // Every layer of the Fig. 2 architecture shows up in the trace.
     for category in [
